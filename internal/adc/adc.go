@@ -85,23 +85,38 @@ func (c *Converter) Read(channel int) (uint16, error) {
 	if src := c.channels[channel]; src != nil {
 		v = src()
 	}
-	code := v / c.vref * float64(MaxCode)
-	code *= 1 + c.gainErr
-	code += c.offsetLSB
+	level := v / c.vref * float64(MaxCode)
+	level *= 1 + c.gainErr
+	level += c.offsetLSB
 	if c.rng != nil {
 		// ±0.5 LSB quantisation/thermal noise.
-		code += c.rng.Uniform(-0.5, 0.5)
+		level += c.rng.Uniform(-0.5, 0.5)
 	}
-	if code < 0 {
-		code = 0
-	}
-	if code > MaxCode {
-		code = MaxCode
-	}
-	return uint16(code), nil
+	return quantise(level), nil
 }
 
 // Voltage converts a code back to volts using the reference.
-func (c *Converter) Voltage(code uint16) float64 {
-	return float64(code) / float64(MaxCode) * c.vref
+func (c *Converter) Voltage(code uint16) float64 { return Volts(code, c.vref) }
+
+// Code is the ideal converter's transfer function: v volts against vref,
+// clamped to [0, MaxCode] and truncated to a code. Read is the same
+// transfer with a part's gain error, offset and dither applied to the
+// scaled level before the clamp, so a Converter built with a nil rng reads
+// exactly Code(v, vref).
+func Code(v, vref float64) uint16 { return quantise(v / vref * float64(MaxCode)) }
+
+// Volts converts a code back to volts against vref, the inverse scale of
+// Code.
+func Volts(code uint16, vref float64) float64 { return float64(code) / float64(MaxCode) * vref }
+
+// quantise clamps a level in LSB to the code range and truncates it, as
+// the successive-approximation register does.
+func quantise(level float64) uint16 {
+	if level < 0 {
+		level = 0
+	}
+	if level > MaxCode {
+		level = MaxCode
+	}
+	return uint16(level)
 }

@@ -163,3 +163,33 @@ func TestMonotoneCodes(t *testing.T) {
 		last = code
 	}
 }
+
+// TestIdealConverterReadsCode pins the shared transfer function: a
+// converter without an rng has no gain error, offset or dither, so Read
+// and Voltage must equal Code and Volts exactly, clamping included.
+func TestIdealConverterReadsCode(t *testing.T) {
+	c, err := New(DefaultVref, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src float64
+	if err := c.Connect(0, func() float64 { return src }); err != nil {
+		t.Fatal(err)
+	}
+	for v := -0.5; v <= 5.5; v += 0.0007 {
+		src = v
+		code, err := c.Read(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Code(v, DefaultVref); code != want {
+			t.Fatalf("Read(%gV) = %d, Code = %d", v, code, want)
+		}
+		if c.Voltage(code) != Volts(code, DefaultVref) {
+			t.Fatalf("Voltage(%d) = %g, Volts = %g", code, c.Voltage(code), Volts(code, DefaultVref))
+		}
+	}
+	if Code(-1, DefaultVref) != 0 || Code(9, DefaultVref) != MaxCode {
+		t.Fatalf("Code does not clamp: %d, %d", Code(-1, DefaultVref), Code(9, DefaultVref))
+	}
+}

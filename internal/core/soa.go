@@ -12,23 +12,30 @@ import (
 )
 
 // StateSlab is the struct-of-arrays layout for the million-device scale
-// path: the hot per-device state of the firmware loop — RNG walk, filter
-// window, island hysteresis, seq counter, ARQ window bookkeeping and link
-// accounting — packed into contiguous arrays indexed by fleet slot, so one
-// worker advancing a stripe of devices walks memory linearly instead of
-// chasing a *Device graph per device.
+// path: per-device state packed into contiguous arrays indexed by fleet
+// slot, so one worker advancing a stripe of devices walks memory linearly
+// instead of chasing a *Device graph per device.
 //
-// The slab models the same pipeline the full Device runs — minimum-jerk-ish
-// glides over the physical range, GP2D120 sampling with noise, 10-bit ADC
-// quantisation, median3+EMA filtering, island mapping with hysteresis, and
-// frame emission with loss/retransmit accounting — but trades exact model
-// parity for density: a slab device costs ~120 bytes where a full Device
-// costs tens of kilobytes. The full path remains the reference for
-// behavioural studies; the slab is the load generator that makes scale
-// claims measurable (see fleet.RunScale and DESIGN.md §11).
+// The slab is storage plus a motion and noise model; the firmware's signal
+// stages are shared, not copied. Every tick runs the raw voltage through
+// adc.Code/adc.Volts (the converter's transfer function),
+// firmware.MedianEMAState.Step with DefaultEMAAlpha (the default filter)
+// and mapping.Lookup (the island mapping with hysteresis), then applies
+// firmware.Step's cursor rule: a frame carrying the entry index is sent
+// when the mapped entry differs from the cursor. The deliberate
+// differences from a full Device, which buy density (~111 bytes per slab
+// device against tens of kilobytes), are:
+//
+//   - motion is a scripted glide/dwell loop over island centres, not the
+//     hand model;
+//   - sensor noise is Irwin–Hall (four uniforms), not Box–Muller;
+//   - the ADC is ideal: no per-device gain error, offset or dither;
+//   - there is no signal-range debounce (firmware.classifySignal);
+//   - ARQ is modelled: a lost first copy is retransmitted and every frame
+//     is delivered once, with latency hashed from (slot, seq).
 //
 // Determinism: every per-device value is derived at construction from
-// (seed, slot) alone, and Tick touches only slot-local state plus shared
+// (seed, slot) alone, and a tick touches only slot-local state plus shared
 // read-only tables, so results are a pure function of the seed and the
 // device count — independent of how devices are striped across workers.
 type StateSlab struct {
@@ -38,12 +45,8 @@ type StateSlab struct {
 	// same generator as sim.Rand so streams have the same quality.
 	rng []uint64
 
-	// Median3 window (3 taps) + fill count, then the EMA value; emaInit
-	// doubles as the filter's warm-up flag.
-	win     []float64
-	winN    []uint8
-	ema     []float64
-	emaInit []uint8
+	// filter is the firmware's median3+EMA state, one value per device.
+	filter []firmware.MedianEMAState
 
 	// Hand-motion state: a glide-dwell-retarget loop over the island
 	// centres, the scripted workload of fleet scripts in array form.
@@ -52,21 +55,20 @@ type StateSlab struct {
 	step   []float64 // per-tick glide speed, cm (sign-less)
 	dwell  []int16   // ticks left to dwell at the current target
 
-	// cur is the hysteresis state: index into islands (sorted ascending by
-	// voltage), -1 when between islands.
-	cur []int16
+	// pos is the mapper state: position in islands (ascending voltage) of
+	// the active island, -1 between islands. cursor is the selected entry
+	// index, starting at 0 like the firmware's menu cursor.
+	pos    []int16
+	cursor []int16
 
-	// Per-device wire accounting: seq is the next frame sequence number;
-	// outstanding/ackPend are the ARQ window bookkeeping (frames on the
-	// air last tick are acked this tick); the counters mirror LinkStats.
-	seq         []uint16
-	outstanding []uint16
-	ackPend     []uint16
-	sent        []uint32
-	delivered   []uint32
-	lost        []uint32
-	retransmits []uint32
-	switches    []uint32 // island switches = scroll events emitted
+	// Per-device wire accounting. Every cursor move sends exactly one frame
+	// and the modelled ARQ delivers it, so sent also counts island
+	// switches and delivered frames, and the frame's seq is uint16(sent).
+	// lost counts lost first copies, each retransmitted once. pend marks a
+	// frame sent this tick whose ack arrives next tick: the ARQ window.
+	sent []uint32
+	lost []uint32
+	pend []uint8
 
 	// Shared read-only tables: the island map and the sensor
 	// characteristic, built once for the whole slab.
@@ -121,31 +123,24 @@ func NewStateSlab(cfg SlabConfig) (*StateSlab, error) {
 	}
 
 	s := &StateSlab{
-		n:           n,
-		rng:         make([]uint64, 4*n),
-		win:         make([]float64, 3*n),
-		winN:        make([]uint8, n),
-		ema:         make([]float64, n),
-		emaInit:     make([]uint8, n),
-		dist:        make([]float64, n),
-		target:      make([]float64, n),
-		step:        make([]float64, n),
-		dwell:       make([]int16, n),
-		cur:         make([]int16, n),
-		seq:         make([]uint16, n),
-		outstanding: make([]uint16, n),
-		ackPend:     make([]uint16, n),
-		sent:        make([]uint32, n),
-		delivered:   make([]uint32, n),
-		lost:        make([]uint32, n),
-		retransmits: make([]uint32, n),
-		switches:    make([]uint32, n),
-		islands:     mapper.Islands(),
-		hyst:        mapper.Config().Hysteresis,
-		sensor:      sensor,
-		noiseSD:     sensorCfg.NoiseSD,
-		lossProb:    cfg.LossProb,
-		dwellTicks:  int16(cfg.DwellTicks),
+		n:          n,
+		rng:        make([]uint64, 4*n),
+		filter:     make([]firmware.MedianEMAState, n),
+		dist:       make([]float64, n),
+		target:     make([]float64, n),
+		step:       make([]float64, n),
+		dwell:      make([]int16, n),
+		pos:        make([]int16, n),
+		cursor:     make([]int16, n),
+		sent:       make([]uint32, n),
+		lost:       make([]uint32, n),
+		pend:       make([]uint8, n),
+		islands:    mapper.Islands(),
+		hyst:       mapper.Config().Hysteresis,
+		sensor:     sensor,
+		noiseSD:    sensorCfg.NoiseSD,
+		lossProb:   cfg.LossProb,
+		dwellTicks: int16(cfg.DwellTicks),
 	}
 
 	for i := 0; i < n; i++ {
@@ -160,7 +155,7 @@ func NewStateSlab(cfg SlabConfig) (*StateSlab, error) {
 			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 			s.rng[4*i+w] = z ^ (z >> 31)
 		}
-		s.cur[i] = -1
+		s.pos[i] = -1
 		s.dist[i] = s.islandCenter(s.nextU64(i))
 		s.target[i] = s.islandCenter(s.nextU64(i))
 		// Glide speeds span roughly the scripted fleet glides: the full
@@ -207,21 +202,18 @@ func (s *StateSlab) approxNorm(i int) float64 {
 }
 
 // FrameEmitter receives one emitted scale frame: the device slot, the
-// frame's wire sequence number, the island index it reports and the sweep's
-// virtual timestamp in milliseconds. Emission consumes no device RNG and
-// mutates no slab state, so a run with an emitter attached ticks through
-// random walks bit-identical to a plain run — the networked scale path uses
-// it to marshal real v1 frames onto a TCP connection.
-type FrameEmitter func(slot int, seq uint16, island int16, atMillis uint32)
+// frame's wire sequence number, the entry index it reports (as in a
+// firmware MsgScroll frame) and the sweep's virtual timestamp in
+// milliseconds. Emission consumes no device RNG and mutates no slab state,
+// so a run with an emitter attached ticks through random walks
+// bit-identical to a plain run — the networked scale path uses it to
+// marshal real v1 frames onto a TCP connection.
+type FrameEmitter func(slot int, seq uint16, entry int16, atMillis uint32)
 
-// Tick advances one device through one firmware cycle: motion, sample,
-// quantise, filter, map, emit. It allocates nothing.
-func (s *StateSlab) Tick(i int) { s.tick(i, nil, nil, 0) }
-
-// tick is Tick with an optional latency accumulator and frame emitter:
-// every emitted frame bins its modelled end-to-end latency and/or is handed
-// to emit. Nil hooks cost one predictable branch per frame, keeping the
-// uninstrumented path identical.
+// tick advances device i through one firmware cycle: motion, sample, then
+// the firmware stages in stepSignal. Optional hooks bin each emitted frame's
+// modelled end-to-end latency and/or hand the frame to emit; nil hooks
+// cost one predictable branch per frame. It allocates nothing.
 func (s *StateSlab) tick(i int, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
 	// Hand motion: dwell at a reached target, then glide to the next.
 	d := s.dist[i]
@@ -242,97 +234,44 @@ func (s *StateSlab) tick(i int, bins *latencyBins, emit FrameEmitter, atMillis u
 		}
 		s.dist[i] = d
 	}
-
-	// Sample the characteristic with sensor noise, then quantise through
-	// the 10-bit ADC exactly like the board does.
-	v := s.sensor.Sample(d) + s.noiseSD*s.approxNorm(i)
-	if v < 0 {
-		v = 0
-	}
-	code := int(v / adc.DefaultVref * float64(adc.MaxCode+1)) // truncating ADC
-	if code > adc.MaxCode {
-		code = adc.MaxCode
-	}
-	v = float64(code) * adc.DefaultVref / float64(adc.MaxCode+1)
-
-	// Median3 window, then EMA — the firmware's MedianEMA default.
-	w := s.win[3*i : 3*i+3 : 3*i+3]
-	if s.winN[i] < 3 {
-		w[s.winN[i]] = v
-		s.winN[i]++
-		// Warm-up: pass the raw sample through until the window fills.
-	} else {
-		w[0], w[1], w[2] = w[1], w[2], v
-		v = median3(w[0], w[1], w[2])
-	}
-	if s.emaInit[i] == 0 {
-		s.ema[i] = v
-		s.emaInit[i] = 1
-	} else {
-		s.ema[i] += firmware.DefaultEMAAlpha * (v - s.ema[i])
-	}
-	v = s.ema[i]
-
-	// Acks for last tick's frames arrive before this tick's mapping, so
-	// the window drains one tick behind the sends.
-	if s.ackPend[i] > 0 {
-		s.outstanding[i] -= s.ackPend[i]
-		s.ackPend[i] = 0
-	}
-
-	// Island mapping with hysteresis (mapping.Mapper.Map in array form).
-	idx := s.mapVoltage(i, v)
-	if idx >= 0 && idx != int(s.cur[i]) {
-		s.cur[i] = int16(idx)
-		s.switches[i]++
-		s.emitFrame(i, bins, emit, atMillis)
-	} else if idx >= 0 {
-		s.cur[i] = int16(idx)
-	}
+	s.stepSignal(i, s.sensor.Sample(d)+s.noiseSD*s.approxNorm(i), bins, emit, atMillis)
 }
 
-// mapVoltage returns the islands index (ascending-voltage order) selected
-// by v, honouring the hysteresis of the device's current island, or -1.
-func (s *StateSlab) mapVoltage(i int, v float64) int {
-	if c := s.cur[i]; c >= 0 {
-		is := &s.islands[c]
-		h := s.hyst * (is.Hi - is.Lo) / 2
-		if v >= is.Lo-h && v <= is.Hi+h {
-			return int(c)
+// stepSignal runs one raw sensor voltage of device i through the firmware's
+// stages — ideal ADC, median3+EMA, island lookup, cursor rule — and emits a
+// frame when the cursor moves. It returns the quantised and the filtered
+// voltage.
+func (s *StateSlab) stepSignal(i int, raw float64, bins *latencyBins, emit FrameEmitter, atMillis uint32) (q, v float64) {
+	q = adc.Volts(adc.Code(raw, adc.DefaultVref), adc.DefaultVref)
+	v = s.filter[i].Step(q, firmware.DefaultEMAAlpha)
+
+	// The ack for last tick's frame arrives before this tick's mapping, so
+	// the window drains one tick behind the sends.
+	s.pend[i] = 0
+
+	pos, _ := mapping.Lookup(s.islands, s.hyst, int(s.pos[i]), v)
+	s.pos[i] = int16(pos)
+	if pos >= 0 {
+		if entry := int16(s.islands[pos].Index); entry != s.cursor[i] {
+			s.cursor[i] = entry
+			s.emitFrame(i, bins, emit, atMillis)
 		}
 	}
-	lo, hi := 0, len(s.islands)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		is := &s.islands[mid]
-		switch {
-		case v < is.Lo:
-			hi = mid - 1
-		case v > is.Hi:
-			lo = mid + 1
-		default:
-			return mid
-		}
-	}
-	return -1
+	return q, v
 }
 
 // emitFrame accounts one scroll frame through the modelled reliable link:
 // a lost first copy is retransmitted and delivered (the ARQ guarantee),
-// and the window bookkeeping records it on the air until next tick's ack.
-// With a latency accumulator attached it also bins the frame's modelled
+// and the window records it on the air until next tick's ack. With a
+// latency accumulator attached it also bins the frame's modelled
 // end-to-end latency.
 func (s *StateSlab) emitFrame(i int, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
-	s.seq[i]++
 	s.sent[i]++
-	s.outstanding[i]++
-	s.ackPend[i]++
+	s.pend[i] = 1
 	lost := s.lossProb > 0 && u64ToFloat(s.nextU64(i)) < s.lossProb
 	if lost {
 		s.lost[i]++
-		s.retransmits[i]++
 	}
-	s.delivered[i]++
 	if bins != nil {
 		bins[s.latencyBin(i, lost)]++
 	}
@@ -340,7 +279,7 @@ func (s *StateSlab) emitFrame(i int, bins *latencyBins, emit FrameEmitter, atMil
 		// One call per frame regardless of modelled loss: the slab models a
 		// reliable link, so every frame is (eventually) delivered exactly
 		// once — the emitter carries the post-ARQ stream.
-		emit(i, s.seq[i], s.cur[i], atMillis)
+		emit(i, uint16(s.sent[i]), s.cursor[i], atMillis)
 	}
 }
 
@@ -379,7 +318,7 @@ func binLatencyMs(k int) float64 {
 // 0.5 ms, so float64 partial sums are exact and histogram merges are
 // independent of stripe grouping.
 func (s *StateSlab) latencyBin(i int, lost bool) int {
-	z := (uint64(i)<<16 | uint64(s.seq[i])) * 0x9e3779b97f4a7c15
+	z := (uint64(i)<<16 | uint64(uint16(s.sent[i]))) * 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
@@ -446,19 +385,18 @@ type SlabTotals struct {
 }
 
 // Totals sums the per-device accounting over [lo, hi); pass 0, Len() for
-// the whole slab.
+// the whole slab. Delivered and Switches equal Sent, and Retransmits
+// equals Lost (see the wire accounting fields).
 func (s *StateSlab) Totals(lo, hi int) SlabTotals {
 	var t SlabTotals
 	for i := lo; i < hi; i++ {
 		t.Sent += uint64(s.sent[i])
-		t.Delivered += uint64(s.delivered[i])
 		t.Lost += uint64(s.lost[i])
-		t.Retransmits += uint64(s.retransmits[i])
-		t.Switches += uint64(s.switches[i])
-		t.Outstanding += uint64(s.outstanding[i])
-		if s.outstanding[i] > t.MaxWindow {
-			t.MaxWindow = s.outstanding[i]
-		}
+		t.Outstanding += uint64(s.pend[i])
+	}
+	t.Delivered, t.Switches, t.Retransmits = t.Sent, t.Sent, t.Lost
+	if t.Outstanding > 0 {
+		t.MaxWindow = 1
 	}
 	return t
 }
@@ -482,17 +420,4 @@ func (t SlabTotals) Contribute(s *telemetry.Snapshot) {
 	s.AddCounter(telemetry.MetricARQRetransmits, t.Retransmits)
 	s.AddCounter(telemetry.MetricHubDecoded, t.Delivered)
 	s.AddCounter(telemetry.MetricHubEvents, t.Delivered)
-}
-
-func median3(a, b, c float64) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-	}
-	if a > b {
-		b = a
-	}
-	return b
 }

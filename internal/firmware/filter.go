@@ -7,10 +7,7 @@
 // displays over I2C, scan the buttons, and report events over the RF link.
 package firmware
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // FilterKind selects the sensor smoothing strategy (ablation A1).
 type FilterKind int
@@ -52,8 +49,9 @@ type Filter interface {
 	Reset()
 }
 
-// DefaultEMAAlpha is the prototype's EMA coefficient; the struct-of-arrays
-// scale path (core.StateSlab) bakes the same gain into its packed filter.
+// DefaultEMAAlpha is the prototype's EMA coefficient. The firmware's
+// default filter and the struct-of-arrays scale path (core.StateSlab) both
+// run MedianEMAState.Step with it.
 const DefaultEMAAlpha = 0.35
 
 // NewFilter constructs a filter of the given kind. alpha is the EMA
@@ -71,10 +69,65 @@ func NewFilter(kind FilterKind, alpha float64) (Filter, error) {
 	case EMA:
 		return &emaFilter{alpha: alpha}, nil
 	case MedianEMA:
-		return &chainFilter{first: &medianFilter{}, second: &emaFilter{alpha: alpha}}, nil
+		return &medianEMAFilter{alpha: alpha}, nil
 	default:
 		return nil, fmt.Errorf("firmware: unknown filter kind %d", kind)
 	}
+}
+
+// MedianEMAState is the whole state of the median3+EMA filter: the 3-tap
+// window, its fill count and the EMA value. The zero value is a reset
+// filter. It is a plain value so a packed store can hold one per device.
+type MedianEMAState struct {
+	med   medianWindow
+	value float64
+}
+
+// Step feeds one sample through the 3-tap median and then the EMA with
+// gain alpha, and returns the filtered value. The EMA starts at the first
+// median output.
+func (st *MedianEMAState) Step(v, alpha float64) float64 {
+	v = st.med.push(v)
+	if st.med.n == 1 {
+		st.value = v
+	} else {
+		st.value += alpha * (v - st.value)
+	}
+	return st.value
+}
+
+// medianWindow is a 3-tap median over the last three samples. Until the
+// window fills it passes samples through; from the third sample on it
+// returns their median.
+type medianWindow struct {
+	w [3]float64
+	n uint8 // samples seen, saturating at 3
+}
+
+func (m *medianWindow) push(v float64) float64 {
+	if m.n < 3 {
+		m.w[m.n] = v
+		m.n++
+		if m.n < 3 {
+			return v
+		}
+	} else {
+		m.w[0], m.w[1], m.w[2] = m.w[1], m.w[2], v
+	}
+	return median3(m.w[0], m.w[1], m.w[2])
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		b = a
+	}
+	return b
 }
 
 type rawFilter struct{}
@@ -82,29 +135,10 @@ type rawFilter struct{}
 func (rawFilter) Apply(v float64) float64 { return v }
 func (rawFilter) Reset()                  {}
 
-type medianFilter struct {
-	window [3]float64
-	n      int
-}
+type medianFilter struct{ medianWindow }
 
-func (f *medianFilter) Apply(v float64) float64 {
-	if f.n < 3 {
-		f.window[f.n] = v
-		f.n++
-		// Warm-up: return the input until the window fills.
-		if f.n < 3 {
-			return v
-		}
-	} else {
-		f.window[0], f.window[1], f.window[2] = f.window[1], f.window[2], v
-	}
-	w := f.window
-	s := w[:]
-	sort.Float64s(s)
-	return s[1]
-}
-
-func (f *medianFilter) Reset() { f.n = 0 }
+func (f *medianFilter) Apply(v float64) float64 { return f.push(v) }
+func (f *medianFilter) Reset()                  { f.n = 0 }
 
 type emaFilter struct {
 	alpha float64
@@ -124,13 +158,10 @@ func (f *emaFilter) Apply(v float64) float64 {
 
 func (f *emaFilter) Reset() { f.init = false }
 
-type chainFilter struct {
-	first, second Filter
+type medianEMAFilter struct {
+	alpha float64
+	st    MedianEMAState
 }
 
-func (f *chainFilter) Apply(v float64) float64 { return f.second.Apply(f.first.Apply(v)) }
-
-func (f *chainFilter) Reset() {
-	f.first.Reset()
-	f.second.Reset()
-}
+func (f *medianEMAFilter) Apply(v float64) float64 { return f.st.Step(v, f.alpha) }
+func (f *medianEMAFilter) Reset()                  { f.st = MedianEMAState{} }

@@ -201,7 +201,7 @@ func NewFrameSender(conn *Conn, idBase uint32) *FrameSender {
 // pushing to the connection when the threshold is reached. After the
 // first stream error emission goes dark rather than panicking the tick
 // loop; the error surfaces from Flush.
-func (fs *FrameSender) Emit(slot int, seq uint16, island int16, atMillis uint32) {
+func (fs *FrameSender) Emit(slot int, seq uint16, entry int16, atMillis uint32) {
 	if fs.err != nil {
 		return
 	}
@@ -210,8 +210,8 @@ func (fs *FrameSender) Emit(slot int, seq uint16, island int16, atMillis uint32)
 		Device:   fs.base + uint32(slot),
 		Seq:      seq,
 		AtMillis: atMillis,
-		Index:    island,
-		Island:   island,
+		Index:    entry,
+		Island:   entry,
 	}
 	fs.pbuf = m.AppendBinary(fs.pbuf[:0])
 	wbuf, err := rf.AppendEncode(fs.wbuf, fs.pbuf)

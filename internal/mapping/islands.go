@@ -218,45 +218,58 @@ func (m *Mapper) Current() int {
 }
 
 // Map consumes a filtered voltage and returns the selected entry index and
-// whether the selection is active. Between islands the previous selection
-// is retained if the voltage is still within the hysteresis-widened bounds
-// of the current island; otherwise no entry is selected and the previous
-// index is kept only as Current() == -1 → caller keeps cursor (the paper:
-// "No selection or change happens if the device is held in a distance
-// between two of those islands").
+// whether the selection is active (see Lookup). Between islands no entry
+// is selected and Current() becomes -1; the caller keeps its cursor (the
+// paper: "No selection or change happens if the device is held in a
+// distance between two of those islands").
 func (m *Mapper) Map(v float64) (index int, active bool) {
 	m.stats.Lookups++
+	pos, held := Lookup(m.islands, m.cfg.Hysteresis, m.current, v)
+	switch {
+	case pos < 0:
+		m.stats.Misses++
+	case held:
+		m.stats.Holds++
+	case pos != m.current:
+		m.stats.Switches++
+	}
+	m.current = pos
+	if pos < 0 {
+		return -1, false
+	}
+	return m.islands[pos].Index, true
+}
+
+// Lookup is the island mapping step over explicit state. islands must be
+// sorted by ascending voltage (as Mapper.Islands returns them), cur is the
+// position in islands of the active island or -1, and hyst widens the
+// active island by that fraction of its half-width. It returns the new
+// position, -1 when v falls between islands, and held, which reports that
+// the hysteresis band kept the active island although v left its strict
+// bounds.
+func Lookup(islands []Island, hyst float64, cur int, v float64) (pos int, held bool) {
 	// Hysteresis: stay in the current island while close to it.
-	if m.current >= 0 {
-		is := m.islands[m.current]
-		h := m.cfg.Hysteresis * (is.Hi - is.Lo) / 2
+	if cur >= 0 {
+		is := &islands[cur]
+		h := hyst * (is.Hi - is.Lo) / 2
 		if v >= is.Lo-h && v <= is.Hi+h {
-			if v < is.Lo || v > is.Hi {
-				m.stats.Holds++
-			}
-			return is.Index, true
+			return cur, v < is.Lo || v > is.Hi
 		}
 	}
 	// Binary search for a containing island.
-	lo, hi := 0, len(m.islands)-1
+	lo, hi := 0, len(islands)-1
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		is := m.islands[mid]
+		is := &islands[mid]
 		switch {
 		case v < is.Lo:
 			hi = mid - 1
 		case v > is.Hi:
 			lo = mid + 1
 		default:
-			if mid != m.current {
-				m.stats.Switches++
-			}
-			m.current = mid
-			return is.Index, true
+			return mid, false
 		}
 	}
-	m.current = -1
-	m.stats.Misses++
 	return -1, false
 }
 

@@ -304,8 +304,8 @@ func TestSchedulerFarFutureEvents(t *testing.T) {
 			s := mk(NewClock(0))
 			var order []time.Duration
 			note := func(at time.Duration) { order = append(order, at) }
-			s.At(time.Hour, note)       // far beyond the level-3 block
-			s.At(10*time.Second, note)  // beyond level 3 too
+			s.At(time.Hour, note)      // far beyond the level-3 block
+			s.At(10*time.Second, note) // beyond level 3 too
 			s.At(time.Millisecond, note)
 			s.At(30*time.Minute, note)
 			if err := s.Run(2 * time.Hour); err != nil {

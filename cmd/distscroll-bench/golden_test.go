@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden report_seed1.txt from current output")
+var update = flag.Bool("update", false, "rewrite the golden files (report_seed1.txt, testdata/help/) from current output")
 
 // TestGoldenReportSeed1 pins the full seed-1 experiment report against the
 // repo's report_seed1.txt. The report is the paper-reproduction artifact —
@@ -47,41 +47,45 @@ func TestGoldenReportSeed1(t *testing.T) {
 	}
 }
 
-// TestGoldenHelpOutput pins the -h flag listing against testdata/help.txt,
-// so every new flag (e.g. the -devices/-scale/-scale-json scale harness) is
-// a deliberate, reviewed addition to the CLI surface. Refresh with:
+// TestGoldenHelpOutput pins the top-level usage (the subcommand list) and
+// each subcommand's flag listing against testdata/help/, so every flag is a
+// deliberate, reviewed addition to its mode's surface. Refresh with:
 //
 //	go test ./cmd/distscroll-bench -run TestGoldenHelpOutput -update
 func TestGoldenHelpOutput(t *testing.T) {
-	golden := filepath.Join("testdata", "help.txt")
-
-	var out bytes.Buffer
-	if err := run([]string{"-h"}, &out); err != nil {
-		t.Fatalf("-h errored: %v", err)
+	type helpCase struct {
+		name string // golden file testdata/help/<name>.txt
+		args []string
 	}
-	for _, flagName := range []string{"-devices", "-scale", "-scale-json", "-scale-duration",
-		"-saturate", "-saturate-json", "-conns", "-ingest-pipeline", "-ring-slots", "-ring-batch", "-ring-policy"} {
-		if !bytes.Contains(out.Bytes(), []byte(flagName)) {
-			t.Fatalf("help output missing %s:\n%s", flagName, out.String())
-		}
+	cases := []helpCase{{"distscroll-bench", []string{"-h"}}}
+	for _, c := range commands {
+		cases = append(cases, helpCase{c.name, []string{c.name, "-h"}})
 	}
-
-	if *update {
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, out.Len())
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden: %v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		line, gl, wl := firstDiffLine(out.Bytes(), want)
-		t.Fatalf("help output drifted from testdata/help.txt at line %d:\n  golden: %q\n  got:    %q\n"+
-			"intentional change? refresh with: go test ./cmd/distscroll-bench -run TestGoldenHelpOutput -update",
-			line, wl, gl)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			golden := filepath.Join("testdata", "help", tc.name+".txt")
+			var out bytes.Buffer
+			if err := run(tc.args, &out); err != nil {
+				t.Fatalf("%v errored: %v", tc.args, err)
+			}
+			if *update {
+				if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("rewrote %s (%d bytes)", golden, out.Len())
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("read golden: %v (regenerate with -update)", err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				line, gl, wl := firstDiffLine(out.Bytes(), want)
+				t.Fatalf("%v output drifted from %s at line %d:\n  golden: %q\n  got:    %q\n"+
+					"intentional change? refresh with: go test ./cmd/distscroll-bench -run TestGoldenHelpOutput -update",
+					tc.args, golden, line, wl, gl)
+			}
+		})
 	}
 }
 

@@ -1,27 +1,27 @@
 // Command distscroll-bench regenerates every figure and experiment of the
-// DistScroll paper reproduction (see DESIGN.md Section 4) and prints the
-// resulting charts, tables and metrics.
+// DistScroll paper reproduction (see DESIGN.md Section 4) and runs the
+// system's live modes. Each mode is a subcommand with its own flag set, so
+// a flag that belongs to another mode is rejected as undefined; with no
+// subcommand (or a flag first) the tool runs the study.
 //
 // Usage:
 //
-//	distscroll-bench                 # run everything
-//	distscroll-bench -run F4,E3      # run selected experiments
-//	distscroll-bench -seed 42        # change the master seed
-//	distscroll-bench -o report.txt   # also write the report to a file
-//	distscroll-bench -fleet 64       # simulate a 64-device fleet instead
-//	distscroll-bench -fleet 64 -metrics              # + Prometheus dump
-//	distscroll-bench -fleet 64 -metrics-out rep.json # + JSON telemetry
-//	distscroll-bench -fleet 64 -reliable -loss 0.05  # ARQ on a 5%-loss link
-//	distscroll-bench -bench-csv bench.csv            # demux overhead CSV
-//	distscroll-bench -bench-json BENCH_4.json        # perf baseline, old vs new hub
-//	distscroll-bench -devices 100000 -ops-listen 127.0.0.1:9100  # live /metrics
-//	distscroll-bench -devices 100000 -slo-stall 10s  # watchdog on the scale run
-//	distscroll-bench -devices 100000 -ops-listen 127.0.0.1:9100 -history-windows 300  # /api/history + /dash
-//	distscroll-bench -devices 100000 -history-out hist.json      # history replay file
+//	distscroll-bench                             # run every experiment
+//	distscroll-bench -run F4,E3                  # run selected experiments
+//	distscroll-bench study -seed 42 -o report.txt
+//	distscroll-bench fleet -devices 64 -metrics              # + Prometheus dump
+//	distscroll-bench fleet -devices 64 -metrics-out rep.json # + JSON telemetry
+//	distscroll-bench fleet -devices 64 -reliable -loss 0.05  # ARQ on a 5%-loss link
+//	distscroll-bench scale -devices 1000,100000 -duration 2s # slab scale sweep
+//	distscroll-bench scale -devices 100000 -ops-listen 127.0.0.1:9100 -history-windows 300
+//	distscroll-bench serve -listen 127.0.0.1:9200 -shards 4  # networked hub
+//	distscroll-bench saturate -connect 127.0.0.1:9200 -conns 4 -duration 20s
+//
+// Run `distscroll-bench <command> -h` for a command's flags.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,11 +31,8 @@ import (
 	"strings"
 	"time"
 
-	"github.com/hcilab/distscroll/internal/core"
 	"github.com/hcilab/distscroll/internal/experiments"
-	"github.com/hcilab/distscroll/internal/fleet"
 	"github.com/hcilab/distscroll/internal/history"
-	"github.com/hcilab/distscroll/internal/hubnet"
 	"github.com/hcilab/distscroll/internal/ops"
 	"github.com/hcilab/distscroll/internal/telemetry"
 	"github.com/hcilab/distscroll/internal/tracing"
@@ -48,355 +45,174 @@ func main() {
 	}
 }
 
+// commands lists the subcommands in usage order; study is the default.
+var commands = []struct {
+	name, summary string
+	run           func(args []string, stdout io.Writer) error
+}{
+	{"study", "regenerate the paper's figures and experiments (the default)", runStudy},
+	{"fleet", "simulate full-fidelity devices against one hub", runFleetCmd},
+	{"scale", "sweep packed slab devices on the timing-wheel scale path", runScaleCmd},
+	{"serve", "run the networked hub: accept frame-ingest connections", runServeCmd},
+	{"saturate", "load generator: stream frames at a serve process", runSaturateCmd},
+}
+
 func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("distscroll-bench", flag.ContinueOnError)
-	// Usage and parse errors go to stdout so the help text is part of the
-	// tool's pinned, testable output.
+	name := "study"
+	if len(args) > 0 {
+		switch {
+		case args[0] == "-h" || args[0] == "-help" || args[0] == "--help":
+			usage(stdout)
+			return nil
+		case !strings.HasPrefix(args[0], "-"):
+			name, args = args[0], args[1:]
+		}
+	}
+	for _, c := range commands {
+		if c.name == name {
+			return c.run(args, stdout)
+		}
+	}
+	usage(stdout)
+	return fmt.Errorf("unknown command %q", name)
+}
+
+// usage prints the top-level help: the subcommands and how to reach each
+// one's flags.
+func usage(w io.Writer) {
+	fmt.Fprintf(w, "Usage: distscroll-bench [command] [flags]\n\nCommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-9s %s\n", c.name, c.summary)
+	}
+	fmt.Fprintf(w, "\nWith no command, or a flag as the first argument, distscroll-bench runs study.\n")
+	fmt.Fprintf(w, "Run 'distscroll-bench <command> -h' for a command's flags.\n")
+}
+
+// newFlagSet returns a subcommand's flag set. Usage and parse errors go to
+// stdout so each help text is part of the tool's pinned, testable output.
+func newFlagSet(name string, stdout io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("distscroll-bench "+name, flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	var (
-		runList   = fs.String("run", "", "comma-separated experiment ids (default: all)")
-		seed      = fs.Uint64("seed", 1, "master random seed")
-		outPath   = fs.String("o", "", "also write the report to this file")
-		csvDir    = fs.String("csv", "", "write raw study CSVs (trials, conditions) into this directory")
-		fleetN    = fs.Int("fleet", 0, "simulate a fleet of N devices against one hub instead of the experiments")
-		fleetWrk  = fs.Int("workers", 0, "bound on concurrently simulating fleet devices (0 = one goroutine per device)")
-		devicesN  = fs.Int("devices", 0, "simulate N struct-of-arrays scale devices (timing-wheel stripes) and print the throughput summary")
-		scaleList = fs.String("scale", "", "comma-separated device counts for a scale sweep (e.g. 1000,10000,100000)")
-		scaleJSON = fs.String("scale-json", "", "run the scale sweep plus wheel-vs-heap scheduler benchmarks and write the JSON scaling baseline (BENCH_5.json) to this file")
-		scaleDur  = fs.Duration("scale-duration", 10*time.Second, "virtual time each scale device simulates")
-		metrics   = fs.Bool("metrics", false, "instrument the fleet and append a Prometheus-format metrics dump to the report")
-		metOut    = fs.String("metrics-out", "", "write a JSON telemetry report (per-device counters, latency histograms) to this file")
-		benchCSV  = fs.String("bench-csv", "", "measure the hub demux hot path plain vs instrumented and write the overhead CSV to this file")
-		benchJSON = fs.String("bench-json", "", "measure the frame pipeline and hub demux (lock-free vs a mutex-hub replica) and write the JSON perf baseline to this file")
-		reliable  = fs.Bool("reliable", false, "wrap every fleet device's RF channel in the ARQ retransmission layer (guaranteed in-order delivery)")
-		loss      = fs.Float64("loss", -1, "override the fleet link loss probability (default: the model's stock loss)")
-		burst     = fs.Float64("burst", 0, "per-frame probability of a burst dropping several consecutive frames")
-		burstLen  = fs.Int("burst-len", 0, "frames dropped per burst (0 = model default)")
-		ackLoss   = fs.Float64("ack-loss", 0, "loss probability of the reliable-mode ack back-channel")
-		traceOut  = fs.String("trace-out", "", "record frame-level causal spans and write a Perfetto/Chrome trace JSON to this file (open in ui.perfetto.dev)")
-		flightRec = fs.Bool("flight-recorder", false, "bounded per-device trace rings: anomalies (abandoned frames, seq gaps, SLO breaches) dump the last events to stderr")
-		traceSLO  = fs.Duration("trace-slo", 0, "end-to-end latency SLO; a frame exceeding it raises a flight-recorder anomaly (0 = off)")
-		opsListen = fs.String("ops-listen", "", "serve the live ops plane (/metrics, /vars, /healthz, /debug/pprof) on this address during a -fleet or scale run (e.g. 127.0.0.1:9100; port 0 picks one)")
-		sloP99    = fs.Float64("slo-p99", 0, "SLO watchdog: breach when the windowed e2e latency p99 exceeds this many milliseconds (0 = off)")
-		sloMinFPS = fs.Float64("slo-min-fps", 0, "SLO watchdog: breach when decoded frames per second drop below this floor (0 = off)")
-		sloStall  = fs.Duration("slo-stall", 0, "SLO watchdog: breach when the run's progress clock stops advancing for this long (0 = off)")
-		sloEvery  = fs.Duration("slo-interval", time.Second, "SLO watchdog evaluation interval")
-		histWin   = fs.Int("history-windows", 0, "retain a rolling telemetry history of this many sampling windows (0 = default 120); served at /api/history and the /dash dashboard with -ops-listen, attached to SLO breaches as pre/post forensics")
-		histEvery = fs.Duration("history-interval", time.Second, "telemetry history sampling interval")
-		histOut   = fs.String("history-out", "", "write the retained telemetry history as JSON to this file when the run ends (implies history)")
-		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf   = fs.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
-		rtTrace   = fs.String("runtime-trace", "", "write a Go runtime execution trace of the run to this file (go tool trace)")
-		serveAddr = fs.String("serve", "", "run the networked hub: accept frame-ingest connections on this address (e.g. 127.0.0.1:9200; port 0 picks one) instead of simulating")
-		serveFor  = fs.Duration("serve-for", 0, "with -serve: stop after this long (0 = serve until SIGINT/SIGTERM)")
-		hubShards = fs.Int("hub-shards", 0, "with -serve: number of hub shards; frames route by device id modulo the shard count (default 1)")
-		connect   = fs.String("connect", "", "stream the run's frames to a hubnet server at this address instead of the in-process hub (-fleet forwards each device's frames; -devices/-scale export one stream per worker; -saturate blasts load-generator connections)")
-		saturate  = fs.Bool("saturate", false, "measure the ingest saturation grid (PR-8 replica vs direct vs pipelined consume) in process, or, with -connect, blast frames at a -serve process as a load generator")
-		satJSON   = fs.String("saturate-json", "", "with -saturate: also write the machine-readable throughput baseline (BENCH_6.json) to this file")
-		connsStr  = fs.String("conns", "", "comma-separated concurrent-connection counts for the -saturate grid (default 1,8); with -connect, the single load-generator connection count")
-		satShards = fs.String("saturate-shards", "", "comma-separated shard counts for the -saturate grid (default 1,4)")
-		satDur    = fs.Duration("saturate-duration", 5*time.Second, "with -saturate -connect: how long the load generator streams frames")
-		ingestPL  = fs.Bool("ingest-pipeline", true, "with -serve: hand decoded frames to per-shard ring workers in batches (false = direct per-frame consume on the connection goroutine)")
-		ringSlots = fs.Int("ring-slots", 0, "with -serve: per-shard ring capacity in batches (0 = default 256)")
-		ringBatch = fs.Int("ring-batch", 0, "with -serve: frames per ring hand-off batch (0 = default 64)")
-		ringFull  = fs.String("ring-policy", "block", "with -serve: what a full shard ring does to its producer — block (lossless backpressure) or drop (shed batches, count them)")
-	)
+	return fs
+}
+
+// parse parses a subcommand's arguments. ok is false when the run should
+// stop: -h printed the usage (err nil) or the arguments were rejected.
+func parse(fs *flag.FlagSet, args []string) (ok bool, err error) {
 	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return nil
+		if errors.Is(err, flag.ErrHelp) {
+			return false, nil
 		}
-		return err
+		return false, err
 	}
+	if fs.NArg() > 0 {
+		return false, fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0))
+	}
+	return true, nil
+}
 
-	// Scale-flag validation: a silent zero-device run would report an empty
-	// curve, so reject it loudly; an over-provisioned worker pool is legal
-	// but wasteful, so warn.
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	devicesSet := set["devices"]
-	if devicesSet && *devicesN < 1 {
-		return fmt.Errorf("-devices must be at least 1, got %d", *devicesN)
-	}
-	sweep, err := parseScaleList(*scaleList)
-	if err != nil {
-		return err
-	}
-	connsList, err := parseCountList("-conns", *connsStr, []int{1, 8})
-	if err != nil {
-		return err
-	}
-	shardsList, err := parseCountList("-saturate-shards", *satShards, []int{1, 4})
-	if err != nil {
-		return err
-	}
-	for _, n := range connsList {
-		if n > saturateDevices {
-			return fmt.Errorf("-conns: the saturation workload carries %d devices; %d connections would leave some idle", saturateDevices, n)
-		}
-	}
-	if devicesSet && *fleetWrk > *devicesN {
-		fmt.Fprintf(stdout, "warning: -workers %d exceeds -devices %d; extra workers will idle\n", *fleetWrk, *devicesN)
-	}
+// isSet reports whether the named flag was given on the command line.
+func isSet(fs *flag.FlagSet, name string) (set bool) {
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
 
-	scaleMode := devicesSet || len(sweep) > 0 || *scaleJSON != ""
-	sloSet := *sloP99 > 0 || *sloMinFPS > 0 || *sloStall > 0
-	histSet := set["history-windows"] || set["history-interval"] || *histOut != ""
-	if set["history-windows"] && *histWin < 1 {
-		return fmt.Errorf("-history-windows must be at least 1, got %d", *histWin)
-	}
-	if *histEvery <= 0 {
-		return fmt.Errorf("-history-interval must be positive, got %v", *histEvery)
-	}
-	opsSet := *opsListen != "" || sloSet || histSet
-	metricsSet := *metrics || *metOut != ""
-	if scaleMode && *fleetN > 0 {
-		return fmt.Errorf("-fleet cannot be combined with the scale flags (-devices/-scale/-scale-json); pick one path")
-	}
-	if scaleMode && (*reliable || *burst > 0 || *burstLen > 0 || *ackLoss > 0) {
-		return fmt.Errorf("-reliable/-burst/-burst-len/-ack-loss shape the session fleet's link; the scale path models loss via -loss only")
-	}
-	if opsSet && !scaleMode && *fleetN <= 0 && *serveAddr == "" {
-		return fmt.Errorf("-ops-listen, -slo-* and -history-* flags require a live run (-fleet, -devices, -scale or -serve)")
-	}
-	if *scaleJSON != "" && (metricsSet || opsSet) {
-		return fmt.Errorf("-scale-json is the batch baseline writer; -metrics, -metrics-out, -ops-listen, -slo-* and -history-* need -devices or -scale")
-	}
-	if (*traceOut != "" || *flightRec || *traceSLO > 0) && *fleetN <= 0 {
-		return fmt.Errorf("tracing flags (-trace-out, -flight-recorder, -trace-slo) require -fleet")
-	}
-
-	// Flag-combination validation, networked-hub and experiment-path edition:
-	// every combination that would silently ignore a flag errors instead.
-	simMode := *fleetN > 0 || scaleMode
-	benchMode := *benchCSV != "" || *benchJSON != ""
-	serveSet := *serveAddr != ""
-	connectSet := *connect != ""
-	switch {
-	case serveSet && connectSet:
-		return fmt.Errorf("-serve and -connect are mutually exclusive; run the server in one process and point a second process at it")
-	case serveSet && simMode:
-		return fmt.Errorf("-serve runs the ingest server only; simulate in a second process with -connect")
-	case serveSet && benchMode:
-		return fmt.Errorf("-bench-csv/-bench-json measure in-process baselines; they do not apply to -serve")
-	case serveSet && *saturate:
-		return fmt.Errorf("-saturate measures from the client side; run -serve in one process and -saturate -connect in another")
-	case serveSet && (set["run"] || *csvDir != "" || *outPath != ""):
-		return fmt.Errorf("-run/-csv/-o belong to a simulation run; -serve does not run one")
-	case serveSet && (*reliable || set["loss"] || *burst > 0 || *burstLen > 0 || *ackLoss > 0):
-		return fmt.Errorf("-reliable/-loss/-burst/-burst-len/-ack-loss shape a simulated link; they do not apply to -serve")
-	case serveSet && set["workers"]:
-		return fmt.Errorf("-workers bounds simulation concurrency; it does not apply to -serve")
-	case serveSet && metricsSet:
-		return fmt.Errorf("-metrics/-metrics-out report a simulation; scrape the server live via -ops-listen instead")
-	case !serveSet && set["hub-shards"]:
-		return fmt.Errorf("-hub-shards configures the -serve ingest server")
-	case !serveSet && set["serve-for"]:
-		return fmt.Errorf("-serve-for bounds a -serve run")
-	case set["hub-shards"] && *hubShards < 1:
-		return fmt.Errorf("-hub-shards must be at least 1, got %d", *hubShards)
-	case !serveSet && (set["ingest-pipeline"] || set["ring-slots"] || set["ring-batch"] || set["ring-policy"]):
-		return fmt.Errorf("-ingest-pipeline and -ring-* tune the -serve ingest server")
-	case set["ring-slots"] && *ringSlots < 1:
-		return fmt.Errorf("-ring-slots must be at least 1, got %d", *ringSlots)
-	case set["ring-batch"] && *ringBatch < 1:
-		return fmt.Errorf("-ring-batch must be at least 1, got %d", *ringBatch)
-	case *ringFull != "block" && *ringFull != "drop":
-		return fmt.Errorf("-ring-policy must be block or drop, got %q", *ringFull)
-	case connectSet && !simMode && !*saturate:
-		return fmt.Errorf("-connect streams a simulation's frames; combine it with -fleet, -devices, -scale or -saturate")
-	case connectSet && *scaleJSON != "":
-		return fmt.Errorf("-scale-json measures the in-process baseline; it cannot stream to -connect")
-	case connectSet && *reliable:
-		return fmt.Errorf("-reliable needs the in-process ack loop; acks cannot cross the -connect byte stream")
-	}
-	switch {
-	case *saturate && benchMode:
-		return fmt.Errorf("-saturate and -bench-csv/-bench-json are separate baseline writers; run them one at a time")
-	case *saturate && simMode:
-		return fmt.Errorf("-saturate runs its own ingest workload; it cannot be combined with -fleet or the scale flags")
-	case *saturate && (set["run"] || *csvDir != "" || *outPath != ""):
-		return fmt.Errorf("-run/-csv/-o belong to the experiment path; -saturate does not run it")
-	case *saturate && metricsSet:
-		return fmt.Errorf("-metrics/-metrics-out report a simulation; -saturate measures ingest throughput only")
-	case !*saturate && (set["conns"] || set["saturate-shards"] || set["saturate-duration"] || *satJSON != ""):
-		return fmt.Errorf("-conns/-saturate-shards/-saturate-duration/-saturate-json parameterise a -saturate run")
-	case *satJSON != "" && connectSet:
-		return fmt.Errorf("-saturate-json writes the in-process grid baseline; the -connect load generator cannot measure it")
-	case *saturate && connectSet && set["saturate-shards"]:
-		return fmt.Errorf("-saturate-shards sizes the in-process grid; the -serve process picks its own shard count")
-	case *saturate && connectSet && set["conns"] && len(connsList) > 1:
-		return fmt.Errorf("-conns with -connect takes a single load-generator connection count, got %d values", len(connsList))
-	case *saturate && !connectSet && set["saturate-duration"]:
-		return fmt.Errorf("-saturate-duration bounds the -connect load generator; the in-process grid is iteration-timed")
-	case scaleMode && benchMode:
-		return fmt.Errorf("-bench-csv/-bench-json measure the demux and pipeline baselines; they cannot be combined with the scale flags")
-	case simMode && set["run"]:
-		return fmt.Errorf("-run selects experiments; it cannot be combined with -fleet or the scale flags")
-	case simMode && *csvDir != "":
-		return fmt.Errorf("-csv writes the experiment path's study CSVs; it cannot be combined with -fleet or the scale flags")
-	case scaleMode && *outPath != "":
-		return fmt.Errorf("-o writes the experiment or fleet report; the scale path prints to stdout only")
-	case set["workers"] && !simMode:
-		return fmt.Errorf("-workers bounds a -fleet or scale run")
-	case *burstLen > 0 && *burst <= 0:
-		return fmt.Errorf("-burst-len sets the length of -burst bursts; set -burst > 0 as well")
-	case *ackLoss > 0 && !*reliable:
-		return fmt.Errorf("-ack-loss drops acks on the -reliable back-channel; add -reliable")
-	case set["loss"] && !simMode:
-		return fmt.Errorf("-loss shapes the simulated link; combine it with -fleet, -devices or -scale")
-	}
-
-	// One ops-plane parameter block serves every live-run path.
-	opsFlags := opsOpts{
-		listen:       *opsListen,
-		p99:          *sloP99,
-		minFPS:       *sloMinFPS,
-		stall:        *sloStall,
-		interval:     *sloEvery,
-		history:      histSet,
-		histWindows:  *histWin,
-		histInterval: *histEvery,
-		histOut:      *histOut,
-	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
+// profileFlags registers -cpuprofile, -memprofile and -runtime-trace on fs.
+// The returned start, called after parsing, begins the requested profiles
+// and yields the stop that finishes them in reverse order.
+func profileFlags(fs *flag.FlagSet) (start func() (stop func(), err error)) {
+	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProf := fs.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
+	rtTrace := fs.String("runtime-trace", "", "write a Go runtime execution trace of the run to this file (go tool trace)")
+	return func() (func(), error) {
+		var stops []func()
+		stop := func() {
+			for i := len(stops) - 1; i >= 0; i-- {
+				stops[i]()
+			}
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *rtTrace != "" {
-		f, err := os.Create(*rtTrace)
-		if err != nil {
-			return fmt.Errorf("runtime-trace: %w", err)
-		}
-		defer f.Close()
-		if err := trace.Start(f); err != nil {
-			return fmt.Errorf("runtime-trace: %w", err)
-		}
-		defer trace.Stop()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
+		if *cpuProf != "" {
+			f, err := os.Create(*cpuProf)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "distscroll-bench: memprofile:", err)
-				return
+				return nil, fmt.Errorf("cpuprofile: %w", err)
 			}
-			defer f.Close()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "distscroll-bench: memprofile:", err)
+			if err := pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+				return nil, fmt.Errorf("cpuprofile: %w", err)
 			}
-		}()
-	}
-
-	if serveSet {
-		shards := *hubShards
-		if shards < 1 {
-			shards = 1
+			stops = append(stops, func() { pprof.StopCPUProfile(); f.Close() })
 		}
-		onFull := hubnet.BlockOnFull
-		if *ringFull == "drop" {
-			onFull = hubnet.DropOnFull
-		}
-		return runServe(serveOpts{
-			addr:      *serveAddr,
-			shards:    shards,
-			dur:       *serveFor,
-			pipeline:  *ingestPL,
-			ringSlots: *ringSlots,
-			ringBatch: *ringBatch,
-			onFull:    onFull,
-			ops:       opsFlags,
-		}, stdout)
-	}
-
-	if *saturate {
-		if connectSet {
-			conns := 2
-			if set["conns"] {
-				conns = connsList[0]
+		if *rtTrace != "" {
+			f, err := os.Create(*rtTrace)
+			if err != nil {
+				stop()
+				return nil, fmt.Errorf("runtime-trace: %w", err)
 			}
-			return runSaturateLoad(loadGenOpts{addr: *connect, conns: conns, dur: *satDur}, stdout)
+			if err := trace.Start(f); err != nil {
+				f.Close()
+				stop()
+				return nil, fmt.Errorf("runtime-trace: %w", err)
+			}
+			stops = append(stops, func() { trace.Stop(); f.Close() })
 		}
-		return runSaturate(saturateOpts{connsList: connsList, shardsList: shardsList, jsonPath: *satJSON}, stdout)
+		if path := *memProf; path != "" {
+			stops = append(stops, func() {
+				f, err := os.Create(path)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "distscroll-bench: memprofile:", err)
+					return
+				}
+				defer f.Close()
+				if err := pprof.WriteHeapProfile(f); err != nil {
+					fmt.Fprintln(os.Stderr, "distscroll-bench: memprofile:", err)
+				}
+			})
+		}
+		return stop, nil
 	}
+}
 
-	if *benchCSV != "" {
-		if err := writeBenchCSV(*benchCSV); err != nil {
-			return err
+// opsFlags registers the live ops-plane flags (-ops-listen, -slo-*,
+// -history-*) on fs. The returned build, called after parsing, checks
+// their values and yields the opsOpts.
+func opsFlags(fs *flag.FlagSet) (build func() (opsOpts, error)) {
+	var o opsOpts
+	fs.StringVar(&o.listen, "ops-listen", "", "serve the live ops plane (/metrics, /vars, /healthz, /debug/pprof) on this address during the run (e.g. 127.0.0.1:9100; port 0 picks one)")
+	fs.Float64Var(&o.p99, "slo-p99", 0, "SLO watchdog: breach when the windowed e2e latency p99 exceeds this many milliseconds (0 = off)")
+	fs.Float64Var(&o.minFPS, "slo-min-fps", 0, "SLO watchdog: breach when decoded frames per second drop below this floor (0 = off)")
+	fs.DurationVar(&o.stall, "slo-stall", 0, "SLO watchdog: breach when the run's progress clock stops advancing for this long (0 = off)")
+	fs.DurationVar(&o.interval, "slo-interval", time.Second, "SLO watchdog evaluation interval")
+	fs.IntVar(&o.histWindows, "history-windows", history.DefaultWindows, "retain a rolling telemetry history of this many sampling windows; served at /api/history and the /dash dashboard with -ops-listen, attached to SLO breaches as pre/post forensics")
+	fs.DurationVar(&o.histInterval, "history-interval", time.Second, "telemetry history sampling interval")
+	fs.StringVar(&o.histOut, "history-out", "", "write the retained telemetry history as JSON to this file when the run ends (implies history)")
+	return func() (opsOpts, error) {
+		if o.histWindows < 1 {
+			return o, fmt.Errorf("-history-windows must be at least 1, got %d", o.histWindows)
 		}
-		fmt.Fprintf(stdout, "wrote demux overhead benchmarks to %s\n", *benchCSV)
-		if *fleetN <= 0 && *benchJSON == "" {
-			return nil
+		if o.histInterval <= 0 {
+			return o, fmt.Errorf("-history-interval must be positive, got %v", o.histInterval)
 		}
+		o.history = isSet(fs, "history-windows") || isSet(fs, "history-interval") || o.histOut != ""
+		return o, nil
 	}
+}
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote perf baseline to %s\n", *benchJSON)
-		if *fleetN <= 0 {
-			return nil
-		}
+// runStudy regenerates the selected experiments and prints the report.
+func runStudy(args []string, stdout io.Writer) error {
+	fs := newFlagSet("study", stdout)
+	runList := fs.String("run", "", "comma-separated experiment ids (default: all)")
+	seed := fs.Uint64("seed", 1, "master random seed")
+	outPath := fs.String("o", "", "also write the report to this file")
+	csvDir := fs.String("csv", "", "write raw study CSVs (trials, conditions) into this directory")
+	startProfiles := profileFlags(fs)
+	if ok, err := parse(fs, args); !ok {
+		return err
 	}
-
-	if *scaleJSON != "" {
-		if len(sweep) == 0 {
-			sweep = defaultScaleSweep
-		}
-		if err := writeScaleJSON(*scaleJSON, sweep, *seed, *fleetWrk, *scaleDur, *loss, stdout); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote scaling baseline to %s\n", *scaleJSON)
-		return nil
+	stopProfiles, err := startProfiles()
+	if err != nil {
+		return err
 	}
-	if scaleMode {
-		if devicesSet {
-			sweep = append([]int{*devicesN}, sweep...)
-		}
-		if metricsSet && len(sweep) > 1 {
-			return fmt.Errorf("-metrics/-metrics-out merge one run's telemetry; use a single-point scale run (-devices N), not a %d-point sweep", len(sweep))
-		}
-		return runScaleSweep(scaleSweepOpts{
-			sweep:      sweep,
-			seed:       *seed,
-			workers:    *fleetWrk,
-			dur:        *scaleDur,
-			loss:       *loss,
-			metrics:    *metrics,
-			metricsOut: *metOut,
-			connect:    *connect,
-			ops:        opsFlags,
-		}, stdout)
-	}
-
-	if *fleetN > 0 {
-		return runFleet(fleetOpts{
-			devices:    *fleetN,
-			workers:    *fleetWrk,
-			seed:       *seed,
-			outPath:    *outPath,
-			metrics:    *metrics,
-			metricsOut: *metOut,
-			reliable:   *reliable,
-			loss:       *loss,
-			burst:      *burst,
-			burstLen:   *burstLen,
-			ackLoss:    *ackLoss,
-			traceOut:   *traceOut,
-			flightRec:  *flightRec,
-			traceSLO:   *traceSLO,
-			connect:    *connect,
-			ops:        opsFlags,
-		}, stdout)
-	}
+	defer stopProfiles()
 
 	if *csvDir != "" {
 		if err := writeCSVs(*csvDir, *seed); err != nil {
@@ -412,7 +228,11 @@ func run(args []string, stdout io.Writer) error {
 		for _, id := range strings.Split(*runList, ",") {
 			r, ok := experiments.Find(strings.TrimSpace(id))
 			if !ok {
-				return fmt.Errorf("unknown experiment %q (known: F1-F5, E1-E6, A1-A3)", id)
+				var known []string
+				for _, r := range experiments.All() {
+					known = append(known, r.ID)
+				}
+				return fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(known, ", "))
 			}
 			runners = append(runners, r)
 		}
@@ -439,25 +259,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// fleetOpts parameterises a fleet invocation.
-type fleetOpts struct {
-	devices, workers int
-	seed             uint64
-	outPath          string
-	metrics          bool
-	metricsOut       string
-	reliable         bool
-	loss             float64
-	burst            float64
-	burstLen         int
-	ackLoss          float64
-	traceOut         string
-	flightRec        bool
-	traceSLO         time.Duration
-	connect          string
-	ops              opsOpts
 }
 
 // opsOpts carries the live-ops-plane flags (-ops-listen, -slo-*,
@@ -592,232 +393,4 @@ func writeHistoryJSON(path string, st *history.Store) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runFleet simulates n devices concurrently against one hub and prints the
-// per-device and aggregate accounting, optionally with full telemetry.
-func runFleet(o fleetOpts, stdout io.Writer) error {
-	cfg := fleet.Config{Devices: o.devices, Seed: o.seed, Workers: o.workers, Reliable: o.reliable}
-	if o.loss >= 0 || o.burst > 0 || o.ackLoss > 0 {
-		cfg.Core = core.DefaultConfig()
-		if o.loss >= 0 {
-			cfg.Core.Link.LossProb = o.loss
-		}
-		cfg.Core.Link.BurstLossProb = o.burst
-		cfg.Core.Link.BurstLossLen = o.burstLen
-		cfg.Core.Link.AckLossProb = o.ackLoss
-	}
-	var tracer *tracing.Tracer
-	if o.traceOut != "" || o.flightRec || o.traceSLO > 0 {
-		tcfg := tracing.Config{SLO: o.traceSLO}
-		if o.flightRec || o.traceSLO > 0 {
-			// Anomalies (abandoned frames, seq gaps, SLO breaches) dump
-			// their trailing events to stderr.
-			tcfg.DumpTo = os.Stderr
-		}
-		if o.flightRec {
-			// Flight-recorder mode: small bounded rings so the trace
-			// footprint stays cache-resident even for large fleets.
-			// Without it, retain everything for a complete export.
-			tcfg.Bounded = true
-			tcfg.Capacity = 512
-		}
-		tracer = tracing.New(tcfg)
-		cfg.Tracing = tracer
-	}
-	var reg *telemetry.Registry
-	if o.metrics || o.metricsOut != "" || o.ops.enabled() {
-		reg = telemetry.New()
-		cfg.Metrics = reg
-	}
-	if o.metrics || o.metricsOut != "" {
-		// Heartbeat progress on stderr while the run is in flight.
-		cfg.ReportEvery = 2 * time.Second
-		cfg.OnReport = func(s *telemetry.Snapshot) {
-			fmt.Fprintf(os.Stderr, "fleet: %d frames decoded, %d sent\n",
-				s.Counters[telemetry.MetricHubDecoded], s.Counters[telemetry.MetricRFSent])
-		}
-	}
-	var opsSummary strings.Builder
-	var plane *opsPlane
-	if o.ops.enabled() {
-		// The session fleet has no virtual-time gauge; decoded frames are
-		// its liveness clock.
-		var err error
-		plane, err = startOpsPlane(o.ops, reg, tracer, telemetry.MetricHubDecoded, stdout)
-		if err != nil {
-			return err
-		}
-		// Repeated close is safe; the deferred one covers error returns.
-		defer plane.close(io.Discard)
-	}
-	var remote *hubnet.Remote
-	if o.connect != "" {
-		conn, err := hubnet.Dial(o.connect)
-		if err != nil {
-			return fmt.Errorf("connect %s: %w", o.connect, err)
-		}
-		defer conn.Close()
-		remote = hubnet.NewRemote(conn)
-		cfg.Hub = remote
-		fmt.Fprintf(stdout, "hubnet: forwarding frames to %s\n", o.connect)
-	}
-	r, err := fleet.New(cfg)
-	if err != nil {
-		return err
-	}
-	results, err := r.RunAll()
-	if err != nil {
-		return err
-	}
-	if remote != nil {
-		if err := remote.Err(); err != nil {
-			return fmt.Errorf("hubnet stream to %s: %w", o.connect, err)
-		}
-	}
-	if plane != nil {
-		plane.close(&opsSummary)
-	}
-
-	var report strings.Builder
-	fmt.Fprintf(&report, "DistScroll fleet report (%d devices, seed %d)\n", o.devices, o.seed)
-	fmt.Fprintf(&report, "%s\n", strings.Repeat("=", 76))
-	fmt.Fprintf(&report, "%6s %8s %10s %8s %8s %8s %6s %6s\n",
-		"device", "sent", "delivered", "lost", "events", "missed", "dup", "reord")
-	for _, res := range results {
-		fmt.Fprintf(&report, "%6d %8d %10d %8d %8d %8d %6d %6d\n",
-			res.Device, res.Link.Sent, res.Link.Delivered, res.Link.Lost,
-			res.Host.Events, res.Host.MissedSeq, res.Host.Duplicates, res.Host.Reordered)
-	}
-	tot := r.Total(results)
-	fmt.Fprintf(&report, "%s\n", strings.Repeat("-", 76))
-	fmt.Fprintf(&report, "frames sent %d, delivered %d, lost %d, corrupted %d, events %d, seq gaps %d\n",
-		tot.Sent, tot.Delivered, tot.Lost, tot.Corrupted, tot.Events, tot.MissedSeq)
-	if o.reliable {
-		fmt.Fprintf(&report, "reliable: retransmits %d, timeouts %d, queue drops %d, acks sent %d (lost %d), stale %d, resyncs %d\n",
-			tot.Retransmits, tot.Timeouts, tot.QueueDrops, tot.AcksSent, tot.AcksLost, tot.Stale, tot.Resyncs)
-	}
-	fmt.Fprintf(&report, "virtual time %.1f s, decode throughput %.1f frames/s\n",
-		tot.VirtualSeconds, tot.FramesPerSecond)
-	if remote != nil {
-		fmt.Fprintf(&report, "frames forwarded to %s; host-side accounting (events, seq gaps) lives in the serving process\n", o.connect)
-	}
-	report.WriteString(opsSummary.String())
-
-	var snap *telemetry.Snapshot
-	if reg != nil {
-		snap = reg.Snapshot()
-	}
-	if o.metrics {
-		fmt.Fprintf(&report, "\nTelemetry (Prometheus exposition)\n%s\n", strings.Repeat("-", 76))
-		if lat, ok := snap.Histogram(telemetry.MetricHubE2ELatency); ok {
-			fmt.Fprintf(&report, "# e2e latency: p50=%.2fms p90=%.2fms p99=%.2fms over %d frames\n",
-				lat.P50, lat.P90, lat.P99, lat.Count)
-		}
-		if err := snap.WritePrometheus(&report); err != nil {
-			return err
-		}
-	}
-	if o.metricsOut != "" {
-		if err := writeTelemetryJSON(o.metricsOut, o.seed, results, tot, snap); err != nil {
-			return err
-		}
-		fmt.Fprintf(&report, "wrote telemetry report to %s\n", o.metricsOut)
-	}
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		meta := map[string]any{
-			"tool":    "distscroll-bench",
-			"devices": o.devices,
-			"seed":    o.seed,
-			"decoded": tot.Decoded,
-		}
-		if err := tracer.WritePerfetto(f, meta); err != nil {
-			f.Close()
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		fmt.Fprintf(&report, "wrote Perfetto trace to %s (open in ui.perfetto.dev)\n", o.traceOut)
-	}
-	if tracer != nil && tracer.Dumps() > 0 {
-		fmt.Fprintf(&report, "flight recorder: %d anomaly dump(s) written to stderr\n", tracer.Dumps())
-	}
-
-	if _, err := io.WriteString(stdout, report.String()); err != nil {
-		return err
-	}
-	if o.outPath != "" {
-		if err := os.WriteFile(o.outPath, []byte(report.String()), 0o644); err != nil {
-			return fmt.Errorf("write report: %w", err)
-		}
-	}
-	return nil
-}
-
-// deviceCounters is one device's frame accounting in the JSON report.
-type deviceCounters struct {
-	Device     uint32 `json:"device"`
-	Sent       uint64 `json:"sent"`
-	Delivered  uint64 `json:"delivered"`
-	Lost       uint64 `json:"lost"`
-	Corrupted  uint64 `json:"corrupted"`
-	Events     uint64 `json:"events"`
-	MissedSeq  uint64 `json:"missedSeq"`
-	Duplicates uint64 `json:"duplicates"`
-	Reordered  uint64 `json:"reordered"`
-	// Reliable-delivery counters, zero without -reliable.
-	Retransmits uint64 `json:"retransmits,omitempty"`
-	AcksSent    uint64 `json:"acksSent,omitempty"`
-	AcksLost    uint64 `json:"acksLost,omitempty"`
-}
-
-// telemetryReport is the -metrics-out document: per-device counters, fleet
-// totals and the full metrics snapshot with latency histograms.
-type telemetryReport struct {
-	Devices   int                 `json:"devices"`
-	Seed      uint64              `json:"seed"`
-	PerDevice []deviceCounters    `json:"perDevice"`
-	Totals    fleet.Totals        `json:"totals"`
-	Metrics   *telemetry.Snapshot `json:"metrics"`
-}
-
-func writeTelemetryJSON(path string, seed uint64, results []fleet.Result, tot fleet.Totals, snap *telemetry.Snapshot) error {
-	rep := telemetryReport{
-		Devices: len(results),
-		Seed:    seed,
-		Totals:  tot,
-		Metrics: snap,
-	}
-	for _, res := range results {
-		rep.PerDevice = append(rep.PerDevice, deviceCounters{
-			Device:      res.Device,
-			Sent:        res.Link.Sent,
-			Delivered:   res.Link.Delivered,
-			Lost:        res.Link.Lost,
-			Corrupted:   res.Link.Corrupted,
-			Events:      res.Host.Events,
-			MissedSeq:   res.Host.MissedSeq,
-			Duplicates:  res.Host.Duplicates,
-			Reordered:   res.Host.Reordered,
-			Retransmits: res.ARQ.Retransmits,
-			AcksSent:    res.Acks.AcksSent,
-			AcksLost:    res.Acks.AcksLost,
-		})
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry report: %w", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return fmt.Errorf("telemetry report: %w", err)
-	}
-	return nil
 }

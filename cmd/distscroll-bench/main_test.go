@@ -79,7 +79,7 @@ func TestRunCaseInsensitiveIDs(t *testing.T) {
 
 func TestFleetMode(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-fleet", "5", "-seed", "4", "-workers", "2"}, &out); err != nil {
+	if err := run([]string{"fleet", "-devices", "5", "-seed", "4", "-workers", "2"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -101,7 +101,7 @@ func TestFleetModeWritesFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fleet.txt")
 	var out bytes.Buffer
-	if err := run([]string{"-fleet", "2", "-o", path}, &out); err != nil {
+	if err := run([]string{"fleet", "-devices", "2", "-o", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -113,39 +113,20 @@ func TestFleetModeWritesFile(t *testing.T) {
 	}
 }
 
+// TestFleetMetricsOut is the fleet-telemetry smoke: a 16-device fleet
+// with -metrics and -metrics-out must account every frame per device and
+// bin exactly one latency observation per delivered frame. CI runs it
+// under the race detector.
 func TestFleetMetricsOut(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "report.json")
+	path := filepath.Join(t.TempDir(), "report.json")
 	var out bytes.Buffer
-	if err := run([]string{"-fleet", "6", "-seed", "2", "-metrics-out", path}, &out); err != nil {
+	if err := run([]string{"fleet", "-devices", "16", "-seed", "7", "-metrics", "-metrics-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep telemetryReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report not JSON: %v\n%.300s", err, data)
-	}
-	if rep.Devices != 6 || len(rep.PerDevice) != 6 {
-		t.Fatalf("device counts: %+v", rep)
-	}
-	var delivered uint64
-	for _, d := range rep.PerDevice {
-		if d.Sent == 0 {
-			t.Fatalf("device %d sent no frames", d.Device)
-		}
-		if d.Sent != d.Delivered+d.Lost+d.Corrupted {
-			t.Fatalf("device %d loss accounting: %+v", d.Device, d)
-		}
-		delivered += d.Delivered
-	}
+	rep, delivered := readFleetReport(t, path, 16)
 	if rep.Metrics == nil {
 		t.Fatal("no metrics snapshot in report")
 	}
-	// Acceptance: the e2e latency histogram holds exactly one observation
-	// per delivered frame.
 	lat, ok := rep.Metrics.Histogram("hub_e2e_latency_ms")
 	if !ok {
 		t.Fatal("no e2e latency histogram")
@@ -162,9 +143,101 @@ func TestFleetMetricsOut(t *testing.T) {
 	}
 }
 
+// readFleetReport decodes a -metrics-out document, checks it holds one row
+// per device and that every device's frames add up (sent = delivered +
+// lost + corrupted), and returns it with the delivered total.
+func readFleetReport(t *testing.T, path string, devices int) (telemetryReport, uint64) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep telemetryReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report not JSON: %v\n%.300s", err, data)
+	}
+	if rep.Devices != devices || len(rep.PerDevice) != devices {
+		t.Fatalf("device counts: %d devices, %d per-device rows, want %d", rep.Devices, len(rep.PerDevice), devices)
+	}
+	var delivered uint64
+	for _, d := range rep.PerDevice {
+		if d.Sent == 0 {
+			t.Fatalf("device %d sent no frames", d.Device)
+		}
+		if d.Sent != d.Delivered+d.Lost+d.Corrupted {
+			t.Fatalf("device %d loss accounting: %+v", d.Device, d)
+		}
+		delivered += d.Delivered
+	}
+	return rep, delivered
+}
+
+// TestFleetTraceSoak is the traced lossy fleet soak: a 32-device reliable
+// fleet on a lossy, bursty link with span tracing attached. The Perfetto
+// export must hold exactly one host-side demux slice per decoded frame,
+// decoded must equal the delivered frames in the telemetry report, every
+// flow end must have a matching start, and every slice must sit on the
+// host process (pid 0). CI runs it under the race detector.
+func TestFleetTraceSoak(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.json")
+	fleetPath := filepath.Join(dir, "fleet.json")
+	var out bytes.Buffer
+	if err := run([]string{"fleet", "-devices", "32", "-seed", "9", "-reliable",
+		"-loss", "0.05", "-burst", "0.01", "-burst-len", "3",
+		"-trace-out", tracePath, "-metrics-out", fleetPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	_, delivered := readFleetReport(t, fleetPath, 32)
+
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Ph  string `json:"ph"`
+			ID  any    `json:"id"`
+			Pid int    `json:"pid"`
+		} `json:"traceEvents"`
+		OtherData struct {
+			Decoded uint64 `json:"decoded"`
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(data, &trace); err != nil {
+		t.Fatalf("trace not JSON: %v\n%.300s", err, data)
+	}
+	var slices uint64
+	starts, ends := map[any]bool{}, map[any]bool{}
+	for _, e := range trace.TraceEvents {
+		switch e.Ph {
+		case "X":
+			slices++
+			if e.Pid != 0 {
+				t.Fatalf("demux slice on pid %d; host slices must live on the host process (pid 0)", e.Pid)
+			}
+		case "s":
+			starts[e.ID] = true
+		case "f":
+			ends[e.ID] = true
+		}
+	}
+	if slices != trace.OtherData.Decoded || slices != delivered {
+		t.Fatalf("%d demux slices, %d decoded, %d delivered; want all equal", slices, trace.OtherData.Decoded, delivered)
+	}
+	if len(ends) == 0 {
+		t.Fatal("trace has no flow ends")
+	}
+	for id := range ends {
+		if !starts[id] {
+			t.Fatalf("flow end %v without a matching start", id)
+		}
+	}
+}
+
 func TestFleetMetricsExposition(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-fleet", "3", "-seed", "8", "-metrics"}, &out); err != nil {
+	if err := run([]string{"fleet", "-devices", "3", "-seed", "8", "-metrics"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -183,7 +256,7 @@ func TestFleetMetricsExposition(t *testing.T) {
 
 func TestScaleMode(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-devices", "500", "-seed", "3", "-scale-duration", "1s"}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "500", "-seed", "3", "-duration", "1s"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -197,7 +270,7 @@ func TestScaleMode(t *testing.T) {
 
 func TestScaleSweepList(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scale", "100,200", "-scale-duration", "500ms"}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "100,200", "-duration", "500ms"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -208,10 +281,11 @@ func TestScaleSweepList(t *testing.T) {
 
 func TestScaleValidationRejectsBadDevices(t *testing.T) {
 	for _, args := range [][]string{
-		{"-devices", "0"},
-		{"-devices", "-3"},
-		{"-scale", "100,0"},
-		{"-scale", "abc"},
+		{"scale", "-devices", "0"},
+		{"scale", "-devices", "-3"},
+		{"scale", "-devices", "100,0"},
+		{"scale", "-devices", "abc"},
+		{"scale"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {
@@ -222,7 +296,7 @@ func TestScaleValidationRejectsBadDevices(t *testing.T) {
 
 func TestScaleWarnsOnExcessWorkers(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-devices", "2", "-workers", "9", "-scale-duration", "100ms"}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "2", "-workers", "9", "-duration", "100ms"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "warning: -workers 9 exceeds -devices 2") {
@@ -230,61 +304,23 @@ func TestScaleWarnsOnExcessWorkers(t *testing.T) {
 	}
 }
 
-func TestScaleJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real wall-clock benchmarks")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_5.json")
-	var out bytes.Buffer
-	if err := run([]string{"-scale-json", path, "-scale", "300", "-scale-duration", "1s"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc scaleBaseline
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("baseline not JSON: %v\n%.300s", err, data)
-	}
-	rows := scaleWorkerRows(0)
-	if doc.PR != 5 || len(doc.Scale) != len(rows) {
-		t.Fatalf("baseline shape: %+v", doc)
-	}
-	for i, p := range doc.Scale {
-		if p.Devices != 300 || p.Workers != rows[i] {
-			t.Fatalf("scale row %d: want 300 devices x %d worker(s), got %+v", i, rows[i], p)
-		}
-	}
-	if doc.After[0].Name != "SchedulerWheel" || doc.After[0].AllocsPerOp != 0 {
-		t.Fatalf("wheel hot path not allocation-free in baseline: %+v", doc.After)
-	}
-	if doc.Scale[0].RealTimeFactor <= 1 {
-		t.Fatalf("300 devices slower than real time: %+v", doc.Scale[0])
-	}
-}
-
-func TestBenchCSV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real wall-clock benchmarks")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.csv")
-	var out bytes.Buffer
-	if err := run([]string{"-bench-csv", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(data)
-	if !strings.Contains(s, "HubDemux,") || !strings.Contains(s, "HubDemuxInstrumented,") {
-		t.Fatalf("bench.csv:\n%s", s)
-	}
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != 3 || lines[0] != "benchmark,iterations,ns_per_op,overhead_pct" {
-		t.Fatalf("bench.csv shape:\n%s", s)
-	}
+// TestRejectsOutOfRangeValues pins values the single-namespace CLI
+// accepted silently: a negative fleet size (it ran the experiments and
+// exited 0), a non-positive scale duration (the run printed it, then
+// simulated RunScale's 10 s default instead) and a loss probability
+// outside [0,1] or NaN on the scale path (which the fleet path rejected
+// only above 1).
+func TestRejectsOutOfRangeValues(t *testing.T) {
+	checkRejected(t, []rejection{
+		{[]string{"fleet", "-devices", "-3"}, "-devices must be at least 1"},
+		{[]string{"fleet", "-devices", "0"}, "-devices must be at least 1"},
+		{[]string{"fleet"}, "-devices must be at least 1"},
+		{[]string{"scale", "-devices", "10", "-duration", "-1s"}, "-duration must be positive"},
+		{[]string{"scale", "-devices", "10", "-duration", "0s"}, "-duration must be positive"},
+		{[]string{"scale", "-devices", "10", "-loss", "2"}, "-loss must be in [0,1]"},
+		{[]string{"scale", "-devices", "10", "-loss", "-0.5"}, "-loss must be in [0,1]"},
+		{[]string{"scale", "-devices", "10", "-loss", "NaN"}, "-loss must be in [0,1]"},
+		{[]string{"fleet", "-devices", "2", "-loss", "-0.5"}, "-loss must be in [0,1]"},
+		{[]string{"fleet", "-devices", "2", "-loss", "NaN"}, "-loss must be in [0,1]"},
+	})
 }

@@ -10,11 +10,11 @@ import (
 	"testing"
 )
 
-// TestScaleMetricsExposition pins the PR-6 gap closed: -devices (the scale
-// path) honours -metrics and dumps the merged canonical names.
+// TestScaleMetricsExposition pins that the scale path honours -metrics and
+// dumps the merged canonical names.
 func TestScaleMetricsExposition(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-devices", "400", "-seed", "5", "-scale-duration", "2s", "-metrics"}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "400", "-seed", "5", "-duration", "2s", "-metrics"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -37,7 +37,7 @@ func TestScaleMetricsOut(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "scale.json")
 	var out bytes.Buffer
-	if err := run([]string{"-devices", "300", "-seed", "2", "-scale-duration", "1s", "-metrics-out", path}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "300", "-seed", "2", "-duration", "1s", "-metrics-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -64,25 +64,45 @@ func TestScaleMetricsOut(t *testing.T) {
 	}
 }
 
-// TestFlagComboValidation pins the rejection of flag combinations that
-// previously either silently did nothing or make no sense.
+// TestFlagComboValidation pins that every flag combination the
+// single-namespace CLI rejected is still rejected in the subcommand syntax:
+// a flag of another mode is undefined in this one, and the remaining value
+// checks catch the rest.
 func TestFlagComboValidation(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-fleet", "4", "-devices", "100"}, "-fleet cannot be combined"},
-		{[]string{"-fleet", "4", "-scale", "100"}, "-fleet cannot be combined"},
-		{[]string{"-devices", "100", "-reliable"}, "the scale path models loss via -loss"},
-		{[]string{"-scale", "100", "-burst", "0.1"}, "the scale path models loss via -loss"},
-		{[]string{"-devices", "100", "-ack-loss", "0.1"}, "the scale path models loss via -loss"},
-		{[]string{"-ops-listen", "127.0.0.1:0"}, "require a live run"},
-		{[]string{"-slo-stall", "5s"}, "require a live run"},
-		{[]string{"-slo-p99", "50", "-run", "F3"}, "require a live run"},
-		{[]string{"-scale", "100,200", "-metrics", "-scale-duration", "1s"}, "single-point scale run"},
-		{[]string{"-scale-json", "x.json", "-metrics"}, "-scale-json is the batch baseline writer"},
-		{[]string{"-scale-json", "x.json", "-ops-listen", "127.0.0.1:0"}, "-scale-json is the batch baseline writer"},
-	} {
+	checkRejected(t, []rejection{
+		// was: -fleet 4 -devices 100 / -fleet 4 -scale 100
+		{[]string{"fleet", "-devices", "4", "-scale", "100"}, "flag provided but not defined: -scale"},
+		{[]string{"scale", "-devices", "100", "-fleet", "4"}, "flag provided but not defined: -fleet"},
+		// was: the session-link flags on the scale path
+		{[]string{"scale", "-devices", "100", "-reliable"}, "flag provided but not defined: -reliable"},
+		{[]string{"scale", "-devices", "100", "-burst", "0.1"}, "flag provided but not defined: -burst"},
+		{[]string{"scale", "-devices", "100", "-ack-loss", "0.1"}, "flag provided but not defined: -ack-loss"},
+		// was: ops-plane flags without a live run
+		{[]string{"-ops-listen", "127.0.0.1:0"}, "flag provided but not defined: -ops-listen"},
+		{[]string{"-slo-stall", "5s"}, "flag provided but not defined: -slo-stall"},
+		{[]string{"-slo-p99", "50", "-run", "F3"}, "flag provided but not defined: -slo-p99"},
+		{[]string{"saturate", "-connect", "127.0.0.1:9", "-ops-listen", "127.0.0.1:0"}, "flag provided but not defined: -ops-listen"},
+		// observing a multi-point sweep
+		{[]string{"scale", "-devices", "100,200", "-metrics", "-duration", "1s"}, "single -devices count"},
+		{[]string{"scale", "-devices", "100,200", "-slo-stall", "5s", "-duration", "1s"}, "single -devices count"},
+		// was: the -scale-json baseline writer with live observation
+		{[]string{"scale", "-devices", "100", "-scale-json", "x.json", "-metrics"}, "flag provided but not defined: -scale-json"},
+		{[]string{"scale", "-devices", "100", "-scale-json", "x.json", "-ops-listen", "127.0.0.1:0"}, "flag provided but not defined: -scale-json"},
+	})
+}
+
+// rejection is one command line that must fail, with a fragment of the
+// expected error.
+type rejection struct {
+	args []string
+	want string
+}
+
+// checkRejected runs each command line and requires an error mentioning
+// its fragment.
+func checkRejected(t *testing.T, cases []rejection) {
+	t.Helper()
+	for _, tc := range cases {
 		var out bytes.Buffer
 		err := run(tc.args, &out)
 		if err == nil {
@@ -100,7 +120,7 @@ func TestScaleLossFlag(t *testing.T) {
 	dir := t.TempDir()
 	lossless := filepath.Join(dir, "lossless.json")
 	var out bytes.Buffer
-	if err := run([]string{"-devices", "200", "-seed", "4", "-scale-duration", "2s", "-loss", "0", "-metrics-out", lossless}, &out); err != nil {
+	if err := run([]string{"scale", "-devices", "200", "-seed", "4", "-duration", "2s", "-loss", "0", "-metrics-out", lossless}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var rep scaleTelemetryReport
@@ -118,7 +138,7 @@ func TestScaleLossFlag(t *testing.T) {
 func TestOpsListenServesLiveRun(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{
-		"-devices", "500", "-seed", "6", "-scale-duration", "2s",
+		"scale", "-devices", "500", "-seed", "6", "-duration", "2s",
 		"-ops-listen", "127.0.0.1:0", "-slo-stall", "30s",
 	}, &out); err != nil {
 		t.Fatal(err)
@@ -149,7 +169,7 @@ func TestOpsListenServesLiveRun(t *testing.T) {
 func TestFleetOpsPlane(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{
-		"-fleet", "4", "-seed", "2",
+		"fleet", "-devices", "4", "-seed", "2",
 		"-slo-stall", "30s", "-slo-p99", "100000",
 	}, &out); err != nil {
 		t.Fatal(err)

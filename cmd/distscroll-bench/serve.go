@@ -13,12 +13,12 @@ import (
 	"github.com/hcilab/distscroll/internal/telemetry"
 )
 
-// This file implements -serve: the networked hub. The process listens for
-// frame-ingest connections, demultiplexes the stream across hub shards,
-// and (with -ops-listen) exposes the per-shard hub_* and net_* series
-// live. A second distscroll-bench process points -connect at it.
+// This file implements the serve subcommand: the networked hub. The process
+// listens for frame-ingest connections, demultiplexes the stream across hub
+// shards, and (with -ops-listen) exposes the per-shard hub_* and net_*
+// series live. A fleet, scale or saturate process points -connect at it.
 
-// serveOpts parameterises a -serve invocation.
+// serveOpts parameterises a serve invocation.
 type serveOpts struct {
 	addr      string
 	shards    int
@@ -30,7 +30,53 @@ type serveOpts struct {
 	ops       opsOpts
 }
 
-// runServe serves frame ingest until the -serve-for deadline or an
+// runServeCmd parses the serve flags and serves until -for or a signal.
+func runServeCmd(args []string, stdout io.Writer) error {
+	fs := newFlagSet("serve", stdout)
+	var o serveOpts
+	fs.StringVar(&o.addr, "listen", "", "accept frame-ingest connections on this address (e.g. 127.0.0.1:9200; port 0 picks one; required)")
+	fs.IntVar(&o.shards, "shards", 1, "number of hub shards; frames route by device id modulo the shard count")
+	fs.DurationVar(&o.dur, "for", 0, "stop after this long (0 = serve until SIGINT/SIGTERM)")
+	fs.BoolVar(&o.pipeline, "ingest-pipeline", true, "hand decoded frames to per-shard ring workers in batches (false = direct per-frame consume on the connection goroutine)")
+	fs.IntVar(&o.ringSlots, "ring-slots", hubnet.DefaultRingSlots, "per-shard ring capacity in batches")
+	fs.IntVar(&o.ringBatch, "ring-batch", hubnet.DefaultBatchFrames, "frames per ring hand-off batch")
+	policy := fs.String("ring-policy", "block", "what a full shard ring does to its producer: block (lossless backpressure) or drop (shed batches, count them)")
+	buildOps := opsFlags(fs)
+	startProfiles := profileFlags(fs)
+	if ok, err := parse(fs, args); !ok {
+		return err
+	}
+	switch {
+	case o.addr == "":
+		return fmt.Errorf("-listen is required")
+	case o.shards < 1:
+		return fmt.Errorf("-shards must be at least 1, got %d", o.shards)
+	case o.dur < 0:
+		return fmt.Errorf("-for must not be negative, got %v", o.dur)
+	case o.ringSlots < 1:
+		return fmt.Errorf("-ring-slots must be at least 1, got %d", o.ringSlots)
+	case o.ringBatch < 1:
+		return fmt.Errorf("-ring-batch must be at least 1, got %d", o.ringBatch)
+	case *policy == "block":
+		o.onFull = hubnet.BlockOnFull
+	case *policy == "drop":
+		o.onFull = hubnet.DropOnFull
+	default:
+		return fmt.Errorf("-ring-policy must be block or drop, got %q", *policy)
+	}
+	var err error
+	if o.ops, err = buildOps(); err != nil {
+		return err
+	}
+	stopProfiles, err := startProfiles()
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
+	return runServe(o, stdout)
+}
+
+// runServe serves frame ingest until the -for deadline or an
 // interrupt, then prints the gateway's accounting.
 func runServe(o serveOpts, stdout io.Writer) error {
 	reg := telemetry.New()
@@ -53,15 +99,8 @@ func runServe(o serveOpts, stdout io.Writer) error {
 		if o.onFull == hubnet.DropOnFull {
 			policy = "drop"
 		}
-		slots, batch := o.ringSlots, o.ringBatch
-		if slots <= 0 {
-			slots = hubnet.DefaultRingSlots
-		}
-		if batch <= 0 {
-			batch = hubnet.DefaultBatchFrames
-		}
 		fmt.Fprintf(stdout, "hubnet: ingest pipeline on (%d ring slot(s) x %d-frame batches per shard, %s on full)\n",
-			slots, batch, policy)
+			o.ringSlots, o.ringBatch, policy)
 	}
 
 	var opsSummary strings.Builder

@@ -12,70 +12,79 @@ import (
 	"github.com/hcilab/distscroll/internal/rf"
 )
 
-// TestServeConnectFlagValidation pins the rejection of networked-hub flag
-// combinations that would silently ignore a flag: -serve runs no
-// simulation, -connect is meaningless without one, and the simulation
-// shaping flags cannot cross the process boundary.
+// TestServeConnectFlagValidation pins that every networked-hub, saturate
+// and link-shaping combination the single-namespace CLI rejected is still
+// rejected: serve runs no simulation, saturate is only a load generator,
+// and the simulation shaping flags cannot cross the process boundary.
 func TestServeConnectFlagValidation(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-serve", "127.0.0.1:0", "-connect", "127.0.0.1:9"}, "mutually exclusive"},
-		{[]string{"-serve", "127.0.0.1:0", "-fleet", "4"}, "ingest server only"},
-		{[]string{"-serve", "127.0.0.1:0", "-devices", "100"}, "ingest server only"},
-		{[]string{"-serve", "127.0.0.1:0", "-bench-csv", "b.csv"}, "do not apply to -serve"},
-		{[]string{"-serve", "127.0.0.1:0", "-run", "F3"}, "-serve does not run one"},
-		{[]string{"-serve", "127.0.0.1:0", "-o", "report.txt"}, "-serve does not run one"},
-		{[]string{"-serve", "127.0.0.1:0", "-loss", "0.1"}, "they do not apply to -serve"},
-		{[]string{"-serve", "127.0.0.1:0", "-reliable"}, "they do not apply to -serve"},
-		{[]string{"-serve", "127.0.0.1:0", "-workers", "4"}, "does not apply to -serve"},
-		{[]string{"-serve", "127.0.0.1:0", "-metrics"}, "scrape the server live"},
-		{[]string{"-serve", "127.0.0.1:0", "-hub-shards", "0"}, "-hub-shards must be at least 1"},
-		{[]string{"-hub-shards", "4"}, "configures the -serve ingest server"},
-		{[]string{"-serve-for", "5s"}, "bounds a -serve run"},
-		{[]string{"-serve", "127.0.0.1:0", "-saturate"}, "measures from the client side"},
-		{[]string{"-ring-slots", "128"}, "tune the -serve ingest server"},
-		{[]string{"-ingest-pipeline=false"}, "tune the -serve ingest server"},
-		{[]string{"-serve", "127.0.0.1:0", "-ring-slots", "0"}, "-ring-slots must be at least 1"},
-		{[]string{"-serve", "127.0.0.1:0", "-ring-batch", "0"}, "-ring-batch must be at least 1"},
-		{[]string{"-serve", "127.0.0.1:0", "-ring-policy", "shed"}, "must be block or drop"},
-		{[]string{"-saturate", "-fleet", "2"}, "cannot be combined with -fleet or the scale flags"},
-		{[]string{"-saturate", "-bench-json", "x.json"}, "run them one at a time"},
-		{[]string{"-saturate", "-metrics"}, "ingest throughput only"},
-		{[]string{"-saturate", "-run", "F3"}, "-saturate does not run it"},
-		{[]string{"-conns", "4"}, "parameterise a -saturate run"},
-		{[]string{"-saturate-json", "x.json"}, "parameterise a -saturate run"},
-		{[]string{"-saturate", "-conns", "0"}, "counts must be at least 1"},
-		{[]string{"-saturate", "-conns", "128"}, "would leave some idle"},
-		{[]string{"-saturate", "-saturate-duration", "3s"}, "load generator"},
-		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-saturate-json", "x.json"}, "cannot measure it"},
-		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-saturate-shards", "2"}, "picks its own shard count"},
-		{[]string{"-saturate", "-connect", "127.0.0.1:9", "-conns", "1,2"}, "single load-generator connection count"},
-		{[]string{"-connect", "127.0.0.1:9"}, "combine it with -fleet, -devices, -scale or -saturate"},
-		{[]string{"-connect", "127.0.0.1:9", "-devices", "100", "-scale-json", "x.json"}, "cannot stream to -connect"},
-		{[]string{"-connect", "127.0.0.1:9", "-fleet", "4", "-reliable"}, "acks cannot cross the -connect byte stream"},
-		{[]string{"-fleet", "2", "-run", "F3"}, "-run selects experiments"},
-		{[]string{"-fleet", "2", "-csv", "out"}, "cannot be combined with -fleet"},
-		{[]string{"-devices", "100", "-o", "report.txt"}, "the scale path prints to stdout only"},
-		{[]string{"-devices", "100", "-bench-csv", "b.csv"}, "cannot be combined with the scale flags"},
-		{[]string{"-workers", "4"}, "bounds a -fleet or scale run"},
-		{[]string{"-fleet", "2", "-burst-len", "3"}, "set -burst > 0 as well"},
-		{[]string{"-fleet", "2", "-ack-loss", "0.1"}, "add -reliable"},
-		{[]string{"-loss", "0.1"}, "-loss shapes the simulated link"},
-	} {
-		var out bytes.Buffer
-		err := run(tc.args, &out)
-		if err == nil {
-			t.Fatalf("%v accepted", tc.args)
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%v: error %q does not mention %q", tc.args, err, tc.want)
-		}
-	}
+	const (
+		srv   = "127.0.0.1:0"
+		dst   = "127.0.0.1:9"
+		undef = "flag provided but not defined: "
+	)
+	checkRejected(t, []rejection{
+		// serve accepts no simulation, client or report flags
+		{[]string{"serve", "-listen", srv, "-connect", dst}, undef + "-connect"},
+		{[]string{"serve", "-listen", srv, "-devices", "4"}, undef + "-devices"},
+		{[]string{"serve", "-listen", srv, "-bench-csv", "b.csv"}, undef + "-bench-csv"},
+		{[]string{"serve", "-listen", srv, "-run", "F3"}, undef + "-run"},
+		{[]string{"serve", "-listen", srv, "-o", "report.txt"}, undef + "-o"},
+		{[]string{"serve", "-listen", srv, "-loss", "0.1"}, undef + "-loss"},
+		{[]string{"serve", "-listen", srv, "-reliable"}, undef + "-reliable"},
+		{[]string{"serve", "-listen", srv, "-workers", "4"}, undef + "-workers"},
+		{[]string{"serve", "-listen", srv, "-metrics"}, undef + "-metrics"},
+		{[]string{"serve", "-listen", srv, "-saturate"}, undef + "-saturate"},
+		// serve's own value checks
+		{[]string{"serve"}, "-listen is required"},
+		{[]string{"serve", "-listen", srv, "-shards", "0"}, "-shards must be at least 1"},
+		{[]string{"serve", "-listen", srv, "-for", "-1s"}, "-for must not be negative"},
+		{[]string{"serve", "-listen", srv, "-ring-slots", "0"}, "-ring-slots must be at least 1"},
+		{[]string{"serve", "-listen", srv, "-ring-batch", "0"}, "-ring-batch must be at least 1"},
+		{[]string{"serve", "-listen", srv, "-ring-policy", "shed"}, "must be block or drop"},
+		// the serve flags outside serve
+		{[]string{"-hub-shards", "4"}, undef + "-hub-shards"},
+		{[]string{"-shards", "4"}, undef + "-shards"},
+		{[]string{"fleet", "-devices", "2", "-shards", "4"}, undef + "-shards"},
+		{[]string{"-serve-for", "5s"}, undef + "-serve-for"},
+		{[]string{"-for", "5s"}, undef + "-for"},
+		{[]string{"-ring-slots", "128"}, undef + "-ring-slots"},
+		{[]string{"scale", "-devices", "10", "-ring-slots", "128"}, undef + "-ring-slots"},
+		{[]string{"-ingest-pipeline=false"}, undef + "-ingest-pipeline"},
+		// saturate is the load generator only
+		{[]string{"saturate", "-connect", dst, "-devices", "2"}, undef + "-devices"},
+		{[]string{"saturate", "-connect", dst, "-bench-json", "x.json"}, undef + "-bench-json"},
+		{[]string{"saturate", "-connect", dst, "-metrics"}, undef + "-metrics"},
+		{[]string{"saturate", "-connect", dst, "-run", "F3"}, undef + "-run"},
+		{[]string{"-conns", "4"}, undef + "-conns"},
+		{[]string{"-saturate-json", "x.json"}, undef + "-saturate-json"},
+		{[]string{"saturate", "-connect", dst, "-conns", "0"}, "-conns must be at least 1"},
+		{[]string{"saturate", "-connect", dst, "-conns", "128"}, "would leave some idle"},
+		{[]string{"saturate", "-duration", "3s"}, "-connect is required"},
+		{[]string{"saturate", "-connect", dst, "-duration", "0s"}, "-duration must be positive"},
+		{[]string{"saturate", "-connect", dst, "-saturate-json", "x.json"}, undef + "-saturate-json"},
+		{[]string{"saturate", "-connect", dst, "-saturate-shards", "2"}, undef + "-saturate-shards"},
+		{[]string{"saturate", "-connect", dst, "-conns", "1,2"}, `invalid value "1,2" for flag -conns`},
+		// -connect belongs to a simulation or the load generator
+		{[]string{"-connect", dst}, undef + "-connect"},
+		{[]string{"scale", "-devices", "100", "-connect", dst, "-scale-json", "x.json"}, undef + "-scale-json"},
+		{[]string{"fleet", "-devices", "4", "-connect", dst, "-reliable"}, "acks cannot cross the -connect byte stream"},
+		// the study's flags belong to the study
+		{[]string{"fleet", "-devices", "2", "-run", "F3"}, undef + "-run"},
+		{[]string{"fleet", "-devices", "2", "-csv", "out"}, undef + "-csv"},
+		{[]string{"scale", "-devices", "100", "-o", "report.txt"}, undef + "-o"},
+		{[]string{"scale", "-devices", "100", "-bench-csv", "b.csv"}, undef + "-bench-csv"},
+		{[]string{"-workers", "4"}, undef + "-workers"},
+		{[]string{"-loss", "0.1"}, undef + "-loss"},
+		// fleet link value checks
+		{[]string{"fleet", "-devices", "2", "-burst-len", "3"}, "set -burst > 0 as well"},
+		{[]string{"fleet", "-devices", "2", "-ack-loss", "0.1"}, "add -reliable"},
+		// stray arguments and unknown commands
+		{[]string{"fleet", "-devices", "2", "scale"}, `unexpected argument "scale"`},
+		{[]string{"bogus"}, `unknown command "bogus"`},
+	})
 }
 
-// TestConnectFleetEndToEnd points a -fleet run at a live ingest server: the
+// TestConnectFleetEndToEnd points a fleet run at a live ingest server: the
 // CLI must announce the forwarding, the report must defer host accounting
 // to the server, and the server must decode every device's frames.
 func TestConnectFleetEndToEnd(t *testing.T) {
@@ -86,7 +95,7 @@ func TestConnectFleetEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	var out bytes.Buffer
-	if err := run([]string{"-fleet", "4", "-connect", srv.Addr().String()}, &out); err != nil {
+	if err := run([]string{"fleet", "-devices", "4", "-connect", srv.Addr().String()}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"hubnet: forwarding frames to", "frames forwarded to"} {
@@ -107,7 +116,7 @@ func TestConnectFleetEndToEnd(t *testing.T) {
 	}
 }
 
-// TestConnectScaleEndToEnd points a -devices scale run at a live ingest
+// TestConnectScaleEndToEnd points a scale run at a live ingest
 // server: one stream per worker, every emitted frame decodable server-side.
 func TestConnectScaleEndToEnd(t *testing.T) {
 	srv, err := hubnet.Serve("127.0.0.1:0", hubnet.Config{Shards: 4})
@@ -117,8 +126,8 @@ func TestConnectScaleEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	var out bytes.Buffer
-	args := []string{"-devices", "40", "-workers", "4", "-seed", "9",
-		"-scale-duration", "300ms", "-connect", srv.Addr().String()}
+	args := []string{"scale", "-devices", "40", "-workers", "4", "-seed", "9",
+		"-duration", "300ms", "-connect", srv.Addr().String()}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +168,7 @@ func (b *syncBuf) String() string {
 	return b.buf.String()
 }
 
-// TestServeRunSummary drives the -serve path end to end through run(): boot
+// TestServeRunSummary drives the serve path end to end through run(): boot
 // on an ephemeral port, feed it frames from three devices over one
 // connection, and check the deadline-bounded server prints per-shard
 // accounting that matches what was sent.
@@ -167,7 +176,7 @@ func TestServeRunSummary(t *testing.T) {
 	out := &syncBuf{}
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-serve", "127.0.0.1:0", "-hub-shards", "2", "-serve-for", "2s"}, out)
+		done <- run([]string{"serve", "-listen", "127.0.0.1:0", "-shards", "2", "-for", "2s"}, out)
 	}()
 
 	addrRe := regexp.MustCompile(`serving frame ingest on (\S+) \(2 shard\(s\)\)`)

@@ -90,8 +90,8 @@ type SlabConfig struct {
 	// Entries is the number of menu entries to map the range onto
 	// (default 12, the flat fleet menu).
 	Entries int
-	// LossProb is the per-frame loss probability of the modelled link
-	// (default: the rf default link's loss).
+	// LossProb is the per-frame loss probability of the modelled link, in
+	// [0,1]; zero models a lossless link.
 	LossProb float64
 	// DwellTicks is how many ticks a device holds a reached target before
 	// gliding to the next one (default 8, ~300 ms at the 40 ms tick).
@@ -104,6 +104,9 @@ func NewStateSlab(cfg SlabConfig) (*StateSlab, error) {
 	n := cfg.Devices
 	if n < 1 {
 		return nil, fmt.Errorf("core: slab needs at least 1 device, got %d", n)
+	}
+	if !(cfg.LossProb >= 0 && cfg.LossProb <= 1) {
+		return nil, fmt.Errorf("core: slab loss probability must be in [0,1], got %v", cfg.LossProb)
 	}
 	entries := cfg.Entries
 	if entries <= 0 {

@@ -11,7 +11,6 @@
 package context
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/hcilab/distscroll/internal/adxl311"
@@ -95,12 +94,16 @@ func DecodeContext(b byte) Context {
 }
 
 // String formats the context for the debug display.
-func (c Context) String() string {
-	mv := ""
+func (c Context) String() string { return string(c.Append(nil)) }
+
+// Append appends the String form ("posture/hand", plus " moving") to dst;
+// the firmware's debug display formats into a reused buffer with it.
+func (c Context) Append(dst []byte) []byte {
+	dst = append(append(append(dst, c.Posture.String()...), '/'), c.Hand.String()...)
 	if c.Moving {
-		mv = " moving"
+		dst = append(dst, " moving"...)
 	}
-	return fmt.Sprintf("%s/%s%s", c.Posture, c.Hand, mv)
+	return dst
 }
 
 // Config tunes the detector thresholds.

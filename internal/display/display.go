@@ -7,6 +7,7 @@ package display
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -47,11 +48,17 @@ var (
 
 // Display is one BT96040 panel. It implements i2c.Slave.
 type Display struct {
-	pixels   [HeightPx][WidthPx]bool
-	lines    [TextLines]string
+	// pixels is the framebuffer, one bit per pixel: pixel (x, y) is bit
+	// x%64 of pixels[y][x/64]. 640 B per panel instead of 3,840 B of bools,
+	// and a text row rasterises as six word stores.
+	pixels [HeightPx][2]uint64
+	// lines holds each text row in place, lineLen[row] bytes long, so
+	// writing a row copies bytes instead of allocating a string.
+	lines    [TextLines][TextCols]byte
+	lineLen  [TextLines]uint8
 	contrast byte
 	inverted bool
-	frames   uint64 // completed update transactions
+	frames   uint64 // successful write commands
 	readSel  byte
 }
 
@@ -73,7 +80,15 @@ func (d *Display) WriteBytes(data []byte) error {
 		if len(rest) < 1 {
 			return fmt.Errorf("%w: set-line needs a row", ErrShortCommand)
 		}
-		return d.SetLine(int(rest[0]), string(rest[1:]))
+		text := rest[1:]
+		if len(text) > TextCols {
+			text = text[:TextCols]
+		}
+		// SetLine only copies from the string, so this short conversion
+		// stays on the stack: a row write allocates nothing.
+		if err := d.SetLine(int(rest[0]), string(text)); err != nil {
+			return err
+		}
 	case CmdContrast:
 		if len(rest) < 1 {
 			return fmt.Errorf("%w: contrast needs a level", ErrShortCommand)
@@ -88,7 +103,9 @@ func (d *Display) WriteBytes(data []byte) error {
 		if len(rest) < 3 {
 			return fmt.Errorf("%w: set-pixel needs x,y,v", ErrShortCommand)
 		}
-		return d.SetPixel(int(rest[0]), int(rest[1]), rest[2] != 0)
+		if err := d.SetPixel(int(rest[0]), int(rest[1]), rest[2] != 0); err != nil {
+			return err
+		}
 	case CmdStatus:
 		d.readSel = CmdStatus
 	default:
@@ -113,8 +130,8 @@ func (d *Display) ReadBytes(n int) ([]byte, error) {
 
 // Clear blanks the framebuffer and all text lines.
 func (d *Display) Clear() {
-	d.pixels = [HeightPx][WidthPx]bool{}
-	d.lines = [TextLines]string{}
+	d.pixels = [HeightPx][2]uint64{}
+	d.lineLen = [TextLines]uint8{}
 }
 
 // SetLine writes a text row (truncated to the panel width) and rasterises
@@ -123,10 +140,7 @@ func (d *Display) SetLine(row int, text string) error {
 	if row < 0 || row >= TextLines {
 		return fmt.Errorf("%w: row %d", ErrBounds, row)
 	}
-	if len(text) > TextCols {
-		text = text[:TextCols]
-	}
-	d.lines[row] = text
+	d.lineLen[row] = uint8(copy(d.lines[row][:], text))
 	d.rasterizeLine(row)
 	return nil
 }
@@ -136,13 +150,15 @@ func (d *Display) Line(row int) string {
 	if row < 0 || row >= TextLines {
 		return ""
 	}
-	return d.lines[row]
+	return string(d.text(row))
 }
 
 // Lines returns a copy of all text rows.
 func (d *Display) Lines() []string {
 	out := make([]string, TextLines)
-	copy(out, d.lines[:])
+	for row := range out {
+		out[row] = d.Line(row)
+	}
 	return out
 }
 
@@ -161,8 +177,8 @@ func (d *Display) Contrast() byte { return d.contrast }
 // Inverted reports whether the panel is inverted.
 func (d *Display) Inverted() bool { return d.inverted }
 
-// Frames reports the number of completed update transactions; tests use it
-// to assert that the firmware only redraws on change.
+// Frames reports the number of successful write commands; tests use it to
+// assert that the firmware only redraws on change.
 func (d *Display) Frames() uint64 { return d.frames }
 
 // SetPixel sets one framebuffer pixel.
@@ -170,7 +186,11 @@ func (d *Display) SetPixel(x, y int, on bool) error {
 	if x < 0 || x >= WidthPx || y < 0 || y >= HeightPx {
 		return fmt.Errorf("%w: (%d,%d)", ErrBounds, x, y)
 	}
-	d.pixels[y][x] = on
+	if on {
+		d.pixels[y][x/64] |= 1 << (x % 64)
+	} else {
+		d.pixels[y][x/64] &^= 1 << (x % 64)
+	}
 	return nil
 }
 
@@ -179,18 +199,14 @@ func (d *Display) Pixel(x, y int) bool {
 	if x < 0 || x >= WidthPx || y < 0 || y >= HeightPx {
 		return false
 	}
-	return d.pixels[y][x]
+	return d.pixels[y][x/64]&(1<<(x%64)) != 0
 }
 
 // LitPixels counts lit pixels; a cheap proxy for render coverage in tests.
 func (d *Display) LitPixels() int {
 	n := 0
-	for y := 0; y < HeightPx; y++ {
-		for x := 0; x < WidthPx; x++ {
-			if d.pixels[y][x] {
-				n++
-			}
-		}
+	for _, row := range d.pixels {
+		n += bits.OnesCount64(row[0]) + bits.OnesCount64(row[1])
 	}
 	return n
 }
@@ -200,8 +216,8 @@ func (d *Display) LitPixels() int {
 func (d *Display) Render() string {
 	var b strings.Builder
 	b.WriteString("+" + strings.Repeat("-", TextCols) + "+\n")
-	for _, line := range d.lines {
-		fmt.Fprintf(&b, "|%-*s|\n", TextCols, line)
+	for row := range d.lines {
+		fmt.Fprintf(&b, "|%-*s|\n", TextCols, d.Line(row))
 	}
 	b.WriteString("+" + strings.Repeat("-", TextCols) + "+")
 	return b.String()
@@ -209,30 +225,39 @@ func (d *Display) Render() string {
 
 // rasterizeLine draws the row's text into the framebuffer. The font is a
 // simplified block font: any non-space character lights the glyph cell
-// interior, which is enough for coverage-style assertions.
+// interior, which is enough for coverage-style assertions. The columns a
+// text row lights are the same in all six interior pixel rows of its band,
+// so the row is one 96-bit mask stored six times.
 func (d *Display) rasterizeLine(row int) {
-	top := row * GlyphH
-	// Clear the band first.
-	for y := top; y < top+GlyphH && y < HeightPx; y++ {
-		for x := 0; x < WidthPx; x++ {
-			d.pixels[y][x] = false
-		}
-	}
-	for col, ch := range d.lines[row] {
+	var mask [2]uint64
+	for col, ch := range string(d.text(row)) {
 		if ch == ' ' || col >= TextCols {
 			continue
 		}
-		left := col * GlyphW
-		for dy := 1; dy < GlyphH-1; dy++ {
-			for dx := 1; dx < GlyphW-1; dx++ {
-				y, x := top+dy, left+dx
-				if y < HeightPx && x < WidthPx {
-					d.pixels[y][x] = true
-				}
-			}
+		mask[0] |= cellMask[col][0]
+		mask[1] |= cellMask[col][1]
+	}
+	band := d.pixels[row*GlyphH : (row+1)*GlyphH]
+	band[0] = [2]uint64{}
+	for y := 1; y < GlyphH-1; y++ {
+		band[y] = mask
+	}
+	band[GlyphH-1] = [2]uint64{}
+}
+
+// text returns the stored bytes of a text row.
+func (d *Display) text(row int) []byte { return d.lines[row][:d.lineLen[row]] }
+
+// cellMask[col] holds the pixel columns a glyph cell's interior lights:
+// x = col*GlyphW+1 .. col*GlyphW+GlyphW-2.
+var cellMask = func() (m [TextCols][2]uint64) {
+	for col := range m {
+		for x := col*GlyphW + 1; x < (col+1)*GlyphW-1; x++ {
+			m[col][x/64] |= 1 << (x % 64)
 		}
 	}
-}
+	return m
+}()
 
 func boolByte(b bool) byte {
 	if b {

@@ -170,12 +170,32 @@ func TestContrastClamp(t *testing.T) {
 
 func TestFramesCounter(t *testing.T) {
 	d := New()
-	before := d.Frames()
-	if err := d.WriteBytes([]byte{CmdClear}); err != nil {
-		t.Fatal(err)
+	for _, cmd := range [][]byte{
+		{CmdClear},
+		append([]byte{CmdSetLine, 2}, "Inbox"...),
+		append([]byte{CmdSetLine, 2}, "Inbox"...), // unchanged text still counts
+		{CmdSetPixel, 10, 10, 1},
+		{CmdContrast, 40},
+		{CmdInvert, 1},
+		{CmdStatus},
+	} {
+		before := d.Frames()
+		if err := d.WriteBytes(cmd); err != nil {
+			t.Fatal(err)
+		}
+		if d.Frames() != before+1 {
+			t.Fatalf("frame counter did not advance on %#x", cmd[0])
+		}
 	}
-	if d.Frames() != before+1 {
-		t.Fatal("frame counter did not advance")
+	// Rejected commands are not frames.
+	before := d.Frames()
+	for _, cmd := range [][]byte{{CmdSetLine, TextLines}, {CmdSetPixel, WidthPx, 0, 1}, {0xEE}} {
+		if err := d.WriteBytes(cmd); err == nil {
+			t.Fatalf("command %v accepted", cmd)
+		}
+	}
+	if d.Frames() != before {
+		t.Fatalf("rejected commands counted: %d -> %d", before, d.Frames())
 	}
 }
 
@@ -200,5 +220,141 @@ func TestRenderShape(t *testing.T) {
 		if len(l) != TextCols+2 {
 			t.Fatalf("row width %d, want %d: %q", len(l), TextCols+2, l)
 		}
+	}
+}
+
+// refPanel is the original [40][96]bool framebuffer, kept as the oracle for
+// the bit-packed one: the text rows it stores and the pixels it lights are
+// the specification FuzzRasterize checks Display against.
+type refPanel struct {
+	pixels [HeightPx][WidthPx]bool
+	lines  [TextLines]string
+}
+
+// write applies the commands that touch text or pixels and reports whether
+// the command was accepted; other opcodes leave the framebuffer alone.
+func (r *refPanel) write(data []byte) (handled, ok bool) {
+	if len(data) == 0 {
+		return false, false
+	}
+	op, rest := data[0], data[1:]
+	switch op {
+	case CmdClear:
+		r.pixels = [HeightPx][WidthPx]bool{}
+		r.lines = [TextLines]string{}
+		return true, true
+	case CmdSetLine:
+		if len(rest) < 1 || int(rest[0]) >= TextLines {
+			return true, false
+		}
+		row, text := int(rest[0]), string(rest[1:])
+		if len(text) > TextCols {
+			text = text[:TextCols]
+		}
+		r.lines[row] = text
+		top := row * GlyphH
+		for y := top; y < top+GlyphH && y < HeightPx; y++ {
+			for x := 0; x < WidthPx; x++ {
+				r.pixels[y][x] = false
+			}
+		}
+		for col, ch := range r.lines[row] {
+			if ch == ' ' || col >= TextCols {
+				continue
+			}
+			left := col * GlyphW
+			for dy := 1; dy < GlyphH-1; dy++ {
+				for dx := 1; dx < GlyphW-1; dx++ {
+					y, x := top+dy, left+dx
+					if y < HeightPx && x < WidthPx {
+						r.pixels[y][x] = true
+					}
+				}
+			}
+		}
+		return true, true
+	case CmdSetPixel:
+		if len(rest) < 3 {
+			return true, false
+		}
+		x, y := int(rest[0]), int(rest[1])
+		if x >= WidthPx || y >= HeightPx {
+			return true, false
+		}
+		r.pixels[y][x] = rest[2] != 0
+		return true, true
+	}
+	return false, false
+}
+
+// FuzzRasterize runs an arbitrary command stream through the bit-packed
+// Display and the bool-array oracle and requires identical text, pixels and
+// lit counts after every command. The input is a sequence of
+// length-prefixed commands: a length byte, then that many command bytes.
+func FuzzRasterize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		d, ref := New(), &refPanel{}
+		for len(stream) > 0 {
+			n := int(stream[0])
+			stream = stream[1:]
+			if n > len(stream) {
+				n = len(stream)
+			}
+			cmd := stream[:n]
+			stream = stream[n:]
+
+			err := d.WriteBytes(cmd)
+			if handled, ok := ref.write(cmd); handled && ok != (err == nil) {
+				t.Fatalf("command %q: display err %v, oracle accepted %v", cmd, err, ok)
+			}
+			lit := 0
+			for y := 0; y < HeightPx; y++ {
+				for x := 0; x < WidthPx; x++ {
+					if d.Pixel(x, y) != ref.pixels[y][x] {
+						t.Fatalf("after %q: pixel (%d,%d) = %v, oracle %v", cmd, x, y, d.Pixel(x, y), ref.pixels[y][x])
+					}
+					if ref.pixels[y][x] {
+						lit++
+					}
+				}
+			}
+			if d.LitPixels() != lit {
+				t.Fatalf("after %q: LitPixels = %d, oracle %d", cmd, d.LitPixels(), lit)
+			}
+			for i, l := range d.Lines() {
+				if l != ref.lines[i] {
+					t.Fatalf("after %q: line %d = %q, oracle %q", cmd, i, l, ref.lines[i])
+				}
+			}
+		}
+	})
+}
+
+// TestWritesZeroAlloc pins the panel's write path at zero allocations:
+// the firmware drives both panels every cycle, so clearing, writing a
+// changed text row and setting a pixel must not allocate.
+func TestWritesZeroAlloc(t *testing.T) {
+	d := New()
+	rows := [][]byte{
+		append([]byte{CmdSetLine, 1}, "V=1.234"...),
+		append([]byte{CmdSetLine, 1}, "V=1.235"...),
+		append([]byte{CmdSetLine, 4}, strings.Repeat("long title ", 5)...),
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		i++
+		if err := d.WriteBytes(rows[i%len(rows)]); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteBytes([]byte{CmdSetPixel, byte(i % WidthPx), 3, byte(i & 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 0 {
+			if err := d.WriteBytes([]byte{CmdClear}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("display writes: %.1f allocs/op, want 0", n)
 	}
 }

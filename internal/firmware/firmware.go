@@ -1,6 +1,7 @@
 package firmware
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -141,19 +142,27 @@ type Firmware struct {
 	filter Filter
 	tx     Sender
 
-	stats      counters
-	lastMap    mapping.MapStats // last mirrored mapper counters
-	ctx        contextState
-	health     health
-	power      powerState
-	rel        relativeState
-	seq        uint16
-	lastDebug  time.Duration
-	lastBeat   time.Duration
-	lastIndex  int
-	prevIndex  int
-	lastTopWin []string
-	started    bool
+	stats     counters
+	lastMap   mapping.MapStats // last mirrored mapper counters
+	ctx       contextState
+	health    health
+	power     powerState
+	rel       relativeState
+	seq       uint16
+	lastDebug time.Duration
+	lastBeat  time.Duration
+	lastIndex int
+	prevIndex int
+	started   bool
+	// topWin holds the text of the topRows rows last written to the top
+	// display; topRows == 0 forces a redraw (a window is never empty).
+	topWin  [display.TextLines][]byte
+	topRows int
+	// cmdBuf is the reusable scratch for display commands, as txBuf is for
+	// telemetry: the display path runs every cycle and allocates nothing.
+	// An I2C slave must not retain the bytes past WriteBytes; the
+	// display copies the text it keeps.
+	cmdBuf []byte
 	// txBuf is the reusable marshal scratch for send: the firmware emits a
 	// frame every few virtual milliseconds for the whole run, so marshalling
 	// into a fresh slice each time would dominate the device-side allocation
@@ -406,7 +415,7 @@ func (fw *Firmware) handleSelect(now time.Duration, b buttons.ID) error {
 		if err := fw.rebuildMapper(); err != nil {
 			return err
 		}
-		fw.lastTopWin = nil
+		fw.topRows = 0
 		return fw.drawTop()
 	case errors.Is(err, menu.ErrLeaf):
 		fw.stats.selectEvents.Add(1)
@@ -434,7 +443,7 @@ func (fw *Firmware) handleBack(now time.Duration) error {
 	if err := fw.rebuildMapper(); err != nil {
 		return err
 	}
-	fw.lastTopWin = nil
+	fw.topRows = 0
 	return fw.drawTop()
 }
 
@@ -443,26 +452,43 @@ func (fw *Firmware) handleBack(now time.Duration) error {
 // A bus error degrades the UI (stale display) instead of halting the
 // firmware; the write is retried on the next cycle.
 func (fw *Firmware) drawTop() error {
-	win := fw.menu.Window(display.TextLines)
-	if equalLines(win, fw.lastTopWin) {
+	start, end := fw.menu.WindowRange(display.TextLines)
+	if fw.topShows(start, end) {
 		return nil
 	}
 	fw.stats.displayWrites.Add(1)
-	if err := fw.board.Bus.Write(smartits.AddrTopDisplay, []byte{display.CmdClear}); err != nil {
+	fw.topRows = 0
+	fw.cmdBuf = append(fw.cmdBuf[:0], display.CmdClear)
+	if err := fw.board.Bus.Write(smartits.AddrTopDisplay, fw.cmdBuf); err != nil {
 		fw.health.displayErrs++
-		fw.lastTopWin = nil
 		return nil
 	}
-	for i, line := range win {
-		cmd := append([]byte{display.CmdSetLine, byte(i)}, line...)
-		if err := fw.board.Bus.Write(smartits.AddrTopDisplay, cmd); err != nil {
+	for row, i := 0, start; i < end; row, i = row+1, i+1 {
+		fw.cmdBuf = fw.menu.AppendRow(append(fw.cmdBuf[:0], display.CmdSetLine, byte(row)), i)
+		if err := fw.board.Bus.Write(smartits.AddrTopDisplay, fw.cmdBuf); err != nil {
 			fw.health.displayErrs++
-			fw.lastTopWin = nil
 			return nil
 		}
+		fw.topWin[row] = append(fw.topWin[row][:0], fw.cmdBuf[2:]...)
 	}
-	fw.lastTopWin = win
+	fw.topRows = end - start
 	return nil
+}
+
+// topShows reports whether the top display already shows the window rows
+// [start, end): each row is rendered into cmdBuf and compared with the
+// text last written, so an unchanged window costs no allocation.
+func (fw *Firmware) topShows(start, end int) bool {
+	if fw.topRows != end-start {
+		return false
+	}
+	for row, i := 0, start; i < end; row, i = row+1, i+1 {
+		fw.cmdBuf = fw.menu.AppendRow(fw.cmdBuf[:0], i)
+		if !bytes.Equal(fw.cmdBuf, fw.topWin[row]) {
+			return false
+		}
+	}
+	return true
 }
 
 // drawDebug writes "additional state information" to the bottom display
@@ -476,32 +502,10 @@ func (fw *Firmware) drawDebug(v float64, island int, now time.Duration) error {
 	fw.stats.adcReads.Add(1)
 	batt := fw.board.ADC.Voltage(battCode) * 2 // undo divider
 	fw.updateBattery(batt)
-	statusLine := "bat=" + strconv.FormatFloat(batt, 'f', 1, 64) + "V"
-	switch {
-	case fw.health.signal == SignalFault:
-		statusLine = SignalFault.String()
-	case fw.health.lowBattery:
-		statusLine = "LOW BAT " + strconv.FormatFloat(batt, 'f', 1, 64) + "V"
-	case fw.ctx.detector != nil:
-		statusLine = fw.Context().String()
-	}
-	isleLine := "isle=" + strconv.Itoa(island)
-	if fw.health.signal == SignalOutOfRange {
-		// "no measurement can be made" — keep it within the 16-column
-		// panel width.
-		isleLine = "isle=no-meas"
-	}
-	lines := []string{
-		"DistScroll dbg",
-		"V=" + strconv.FormatFloat(v, 'f', 3, 64),
-		isleLine,
-		"lvl=" + strconv.Itoa(fw.menu.Depth()) + " cur=" + strconv.Itoa(fw.menu.Cursor()),
-		statusLine,
-	}
 	fw.stats.displayWrites.Add(1)
-	for i, line := range lines {
-		cmd := append([]byte{display.CmdSetLine, byte(i)}, line...)
-		if err := fw.board.Bus.Write(smartits.AddrBottomDisplay, cmd); err != nil {
+	for row := 0; row < display.TextLines; row++ {
+		fw.cmdBuf = fw.appendDebugLine(append(fw.cmdBuf[:0], display.CmdSetLine, byte(row)), row, v, island, batt)
+		if err := fw.board.Bus.Write(smartits.AddrBottomDisplay, fw.cmdBuf); err != nil {
 			fw.health.displayErrs++
 			break
 		}
@@ -516,6 +520,35 @@ func (fw *Firmware) drawDebug(v float64, island int, now time.Duration) error {
 		Context:   fw.contextByte(),
 	}, now)
 	return nil
+}
+
+// appendDebugLine appends the text of one debug-display row to b.
+func (fw *Firmware) appendDebugLine(b []byte, row int, v float64, island int, batt float64) []byte {
+	switch row {
+	case 0:
+		return append(b, "DistScroll dbg"...)
+	case 1:
+		return strconv.AppendFloat(append(b, "V="...), v, 'f', 3, 64)
+	case 2:
+		if fw.health.signal == SignalOutOfRange {
+			// "no measurement can be made" — keep it within the 16-column
+			// panel width.
+			return append(b, "isle=no-meas"...)
+		}
+		return strconv.AppendInt(append(b, "isle="...), int64(island), 10)
+	case 3:
+		b = strconv.AppendInt(append(b, "lvl="...), int64(fw.menu.Depth()), 10)
+		return strconv.AppendInt(append(b, " cur="...), int64(fw.menu.Cursor()), 10)
+	}
+	switch {
+	case fw.health.signal == SignalFault:
+		return append(b, SignalFault.String()...)
+	case fw.health.lowBattery:
+		return append(strconv.AppendFloat(append(b, "LOW BAT "...), batt, 'f', 1, 64), 'V')
+	case fw.ctx.detector != nil:
+		return fw.Context().Append(b)
+	}
+	return append(strconv.AppendFloat(append(b, "bat="...), batt, 'f', 1, 64), 'V')
 }
 
 func (fw *Firmware) send(m rf.Message, now time.Duration) {
@@ -544,16 +577,4 @@ func (fw *Firmware) send(m rf.Message, now time.Duration) {
 		return
 	}
 	fw.stats.framesSent.Add(1)
-}
-
-func equalLines(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -252,10 +252,14 @@ func TestDisplayWritesSkippedWhenUnchanged(t *testing.T) {
 	r.board.SetDistance(d)
 	r.steps(t, 5)
 	frames := r.board.Top.Frames()
+	writes := r.board.Bus.Stats().PerSlaveOps[smartits.AddrTopDisplay]
 	// Holding still: no further top-display traffic.
 	r.steps(t, 20)
 	if got := r.board.Top.Frames(); got != frames {
 		t.Fatalf("display rewritten while idle: %d -> %d", frames, got)
+	}
+	if got := r.board.Bus.Stats().PerSlaveOps[smartits.AddrTopDisplay]; got != writes {
+		t.Fatalf("top display I2C writes while idle: %d -> %d", writes, got)
 	}
 }
 

@@ -193,28 +193,32 @@ func (m *Menu) ResetToRoot() {
 	m.cursor = 0
 }
 
-// Window returns lines rows of the current level centred on the cursor,
-// with the selected row prefixed by "> " and others by "  ". This is what
-// the firmware writes to the top display.
-func (m *Menu) Window(lines int) []string {
+// WindowRange returns the entries [start, end) of a lines-row window
+// centred on the cursor and clamped to the level; lines <= 0 counts as 1.
+// With AppendRow it is the windowing rule of the top display: the firmware
+// renders rows [start, end) into a reused buffer, so checking and redrawing
+// the window builds no strings.
+func (m *Menu) WindowRange(lines int) (start, end int) {
 	if lines <= 0 {
 		lines = 1
 	}
 	n := m.Len()
-	start := m.cursor - lines/2
+	start = m.cursor - lines/2
 	if start > n-lines {
 		start = n - lines
 	}
 	if start < 0 {
 		start = 0
 	}
-	out := make([]string, 0, lines)
-	for i := start; i < start+lines && i < n; i++ {
-		prefix := "  "
-		if i == m.cursor {
-			prefix = "> "
-		}
-		out = append(out, prefix+m.level.Children[i].Title)
+	return start, min(start+lines, n)
+}
+
+// AppendRow appends entry i of the current level as a window row to dst:
+// its title prefixed by "> " under the cursor and by "  " elsewhere.
+func (m *Menu) AppendRow(dst []byte, i int) []byte {
+	prefix := "  "
+	if i == m.cursor {
+		prefix = "> "
 	}
-	return out
+	return append(append(dst, prefix...), m.level.Children[i].Title...)
 }

@@ -146,13 +146,23 @@ func TestResetToRoot(t *testing.T) {
 	}
 }
 
+// window renders a top-display window as the firmware draws it.
+func window(m *Menu, lines int) []string {
+	var out []string
+	start, end := m.WindowRange(lines)
+	for i := start; i < end; i++ {
+		out = append(out, string(m.AppendRow(nil, i)))
+	}
+	return out
+}
+
 func TestWindowCentersCursor(t *testing.T) {
 	m, err := New(FlatMenu(20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.MoveTo(10)
-	win := m.Window(5)
+	win := window(m, 5)
 	if len(win) != 5 {
 		t.Fatalf("window size %d", len(win))
 	}
@@ -172,12 +182,12 @@ func TestWindowAtEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win := m.Window(5)
+	win := window(m, 5)
 	if !strings.Contains(win[0], "Entry 01") {
 		t.Fatalf("top edge window: %v", win)
 	}
 	m.MoveTo(19)
-	win = m.Window(5)
+	win = window(m, 5)
 	if !strings.Contains(win[len(win)-1], "Entry 20") {
 		t.Fatalf("bottom edge window: %v", win)
 	}
@@ -186,8 +196,13 @@ func TestWindowAtEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(small.Window(5)); got != 3 {
+	if got := len(window(small, 5)); got != 3 {
 		t.Fatalf("short window size %d", got)
+	}
+	// A non-positive height still shows the cursor row.
+	small.MoveTo(2)
+	if got := window(small, 0); len(got) != 1 || got[0] != "> Entry 03" {
+		t.Fatalf("zero-height window %q", got)
 	}
 }
 

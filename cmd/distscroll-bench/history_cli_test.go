@@ -72,34 +72,8 @@ func TestServeHistoryEndpoints(t *testing.T) {
 		}, out)
 	}()
 
-	listenRe := regexp.MustCompile(`ops plane listening on (\S+) \([^)]*api/history[^)]*\)`)
-	var url string
-	deadline := time.Now().Add(5 * time.Second)
-	for url == "" && time.Now().Before(deadline) {
-		if m := listenRe.FindStringSubmatch(out.String()); m != nil {
-			url = m[1]
-		} else {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	if url == "" {
-		t.Fatalf("ops plane never announced history endpoints:\n%s", out.String())
-	}
-
-	get := func(u string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(u)
-		if err != nil {
-			t.Fatalf("GET %s: %v", u, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body)
-	}
-	code, body := get(url + "/api/history?k=8")
+	url := opsURL(t, out)
+	code, body := httpGet(t, url+"/api/history?k=8")
 	if code != http.StatusOK {
 		t.Fatalf("/api/history = %d:\n%.300s", code, body)
 	}
@@ -110,13 +84,120 @@ func TestServeHistoryEndpoints(t *testing.T) {
 	if doc.Capacity != 32 {
 		t.Fatalf("capacity = %d, want 32", doc.Capacity)
 	}
-	code, body = get(url + "/dash")
+	code, body = httpGet(t, url+"/dash")
 	if code != http.StatusOK || !strings.Contains(body, "<svg") {
 		t.Fatalf("/dash = %d, svg=%v", code, strings.Contains(body, "<svg"))
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestScaleSLOBreachEndToEnd induces a min-rate breach on a live scale
+// run and checks every surface the one sampler feeds: the breach marker on
+// /api/history, the structured 503 on /healthz, and the flight-recorder
+// dump of the pre/post-breach history table.
+func TestScaleSLOBreachEndToEnd(t *testing.T) {
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr // the breach log and the flight-recorder dump
+	defer func() { os.Stderr = saved }()
+
+	out := &syncBuf{}
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{
+			"scale", "-devices", "2000", "-workers", "2", "-seed", "4", "-duration", "600s",
+			"-ops-listen", "127.0.0.1:0", "-history-interval", "50ms", "-slo-min-fps", "1e12",
+		}, out)
+	}()
+	url := opsURL(t, out)
+
+	var doc history.Result
+	deadline := time.Now().Add(5 * time.Second)
+	for len(doc.Breaches) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no breach marker on /api/history")
+		}
+		time.Sleep(20 * time.Millisecond)
+		code, body := httpGet(t, url+"/api/history?k=4")
+		if code != http.StatusOK {
+			t.Fatalf("/api/history = %d:\n%.300s", code, body)
+		}
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatalf("/api/history not JSON: %v\n%.300s", err, body)
+		}
+	}
+	if b := doc.Breaches[0]; b.Rule != "min-rate" || b.Metric != "hub_frames_decoded_total" || b.Limit != 1e12 {
+		t.Fatalf("breach marker %+v", b)
+	}
+
+	code, body := httpGet(t, url+"/healthz")
+	var health struct {
+		Status   string `json:"status"`
+		Breaches []struct {
+			Rule  string  `json:"rule"`
+			Limit float64 `json:"limit"`
+		} `json:"breaches"`
+	}
+	if err := json.Unmarshal([]byte(body), &health); err != nil || code != http.StatusServiceUnavailable {
+		t.Fatalf("/healthz = %d (%v):\n%.300s", code, err, body)
+	}
+	if health.Status != "slo breach" || len(health.Breaches) == 0 ||
+		health.Breaches[0].Rule != "min-rate" || health.Breaches[0].Limit != 1e12 {
+		t.Fatalf("/healthz body %+v", health)
+	}
+
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "slo watchdog:") {
+		t.Fatalf("no breach verdict in the run summary:\n%s", out.String())
+	}
+	dump, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"FLIGHT RECORDER dump", "pre/post-breach history", "<- breach"} {
+		if !bytes.Contains(dump, []byte(want)) {
+			t.Fatalf("flight-recorder dump missing %q:\n%.2000s", want, dump)
+		}
+	}
+}
+
+// opsURL waits for a live run to announce its ops plane on out and
+// returns the base URL.
+func opsURL(t *testing.T, out *syncBuf) string {
+	t.Helper()
+	listenRe := regexp.MustCompile(`ops plane listening on (\S+) \([^)]*api/history[^)]*\)`)
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if m := listenRe.FindStringSubmatch(out.String()); m != nil {
+			return m[1]
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("ops plane never announced history endpoints:\n%s", out.String())
+	return ""
+}
+
+// httpGet fetches u whole and returns status and body.
+func httpGet(t *testing.T, u string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(u)
+	if err != nil {
+		t.Fatalf("GET %s: %v", u, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
 }
 
 // TestHistoryFlagValidation pins the rejections of history flag misuse,

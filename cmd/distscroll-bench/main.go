@@ -181,7 +181,6 @@ func opsFlags(fs *flag.FlagSet) (build func() (opsOpts, error)) {
 	fs.Float64Var(&o.p99, "slo-p99", 0, "SLO watchdog: breach when the windowed e2e latency p99 exceeds this many milliseconds (0 = off)")
 	fs.Float64Var(&o.minFPS, "slo-min-fps", 0, "SLO watchdog: breach when decoded frames per second drop below this floor (0 = off)")
 	fs.DurationVar(&o.stall, "slo-stall", 0, "SLO watchdog: breach when the run's progress clock stops advancing for this long (0 = off)")
-	fs.DurationVar(&o.interval, "slo-interval", time.Second, "SLO watchdog evaluation interval")
 	fs.IntVar(&o.histWindows, "history-windows", history.DefaultWindows, "retain a rolling telemetry history of this many sampling windows; served at /api/history and the /dash dashboard with -ops-listen, attached to SLO breaches as pre/post forensics")
 	fs.DurationVar(&o.histInterval, "history-interval", time.Second, "telemetry history sampling interval")
 	fs.StringVar(&o.histOut, "history-out", "", "write the retained telemetry history as JSON to this file when the run ends (implies history)")
@@ -192,7 +191,6 @@ func opsFlags(fs *flag.FlagSet) (build func() (opsOpts, error)) {
 		if o.histInterval <= 0 {
 			return o, fmt.Errorf("-history-interval must be positive, got %v", o.histInterval)
 		}
-		o.history = isSet(fs, "history-windows") || isSet(fs, "history-interval") || o.histOut != ""
 		return o, nil
 	}
 }
@@ -268,20 +266,24 @@ type opsOpts struct {
 	p99          float64
 	minFPS       float64
 	stall        time.Duration
-	interval     time.Duration
-	history      bool
 	histWindows  int
 	histInterval time.Duration
 	histOut      string
 }
 
-// enabled reports whether any ops-plane feature was requested.
-func (o opsOpts) enabled() bool {
-	return o.listen != "" || o.p99 > 0 || o.minFPS > 0 || o.stall > 0 || o.history
+// slo reports whether any SLO rule was requested.
+func (o opsOpts) slo() bool {
+	return o.p99 > 0 || o.minFPS > 0 || o.stall > 0
 }
 
-// opsPlane bundles the running server, watchdog and history sampler of one
-// invocation.
+// enabled reports whether any ops-plane feature was requested; each one
+// reads the one history store the plane starts.
+func (o opsOpts) enabled() bool {
+	return o.listen != "" || o.slo() || o.histOut != ""
+}
+
+// opsPlane bundles the running history sampler, the watchdog subscribed
+// to it and the server of one invocation.
 type opsPlane struct {
 	srv     *ops.Server
 	wd      *ops.Watchdog
@@ -289,40 +291,34 @@ type opsPlane struct {
 	histOut string
 }
 
-// startOpsPlane starts the history sampler, the watchdog and (if
-// requested) the HTTP server. stallClock names the series whose
+// startOpsPlane starts the history sampler, the watchdog on its windows
+// and (if requested) the HTTP server. stallClock names the series whose
 // advancement proves the run is alive: sim_virtual_seconds on the scale
 // path, hub_frames_decoded_total for the session fleet.
 func startOpsPlane(o opsOpts, reg *telemetry.Registry, tracer *tracing.Tracer, stallClock string, stdout io.Writer) (*opsPlane, error) {
-	var hist *history.Store
-	if o.history {
-		var err error
-		hist, err = history.Start(history.Config{
-			Registry: reg,
-			Windows:  o.histWindows,
-			Interval: o.histInterval,
-		})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(stdout, "history: sampling telemetry every %v, retaining %d windows\n",
-			hist.Interval(), hist.Windows())
+	hist, err := history.Start(history.Config{
+		Registry: reg,
+		Windows:  o.histWindows,
+		Interval: o.histInterval,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if hist != nil && tracer == nil && (o.p99 > 0 || o.minFPS > 0 || o.stall > 0) {
+	fmt.Fprintf(stdout, "history: sampling telemetry every %v, retaining %d windows\n",
+		hist.Interval(), hist.Windows())
+	if tracer == nil && o.slo() {
 		// Breach forensics dump through a flight recorder; a run without
 		// its own tracer gets a small bounded one so the pre/post table
 		// still lands on stderr.
 		tracer = tracing.New(tracing.Config{Bounded: true, Capacity: 64, DumpTo: os.Stderr})
 	}
 	wd := ops.StartWatchdog(ops.WatchdogConfig{
-		Registry:        reg,
-		Interval:        o.interval,
+		History:         hist,
 		LatencyMaxP99Ms: o.p99,
 		StallGauge:      stallClock,
 		StallAfter:      o.stall,
 		MinRate:         minRateRules(o.minFPS),
 		Tracer:          tracer,
-		History:         hist,
 		OnBreach: func(b ops.Breach) {
 			fmt.Fprintf(os.Stderr, "slo watchdog: %s\n", b)
 		},
@@ -336,11 +332,7 @@ func startOpsPlane(o opsOpts, reg *telemetry.Registry, tracer *tracing.Tracer, s
 			return nil, err
 		}
 		p.srv = srv
-		endpoints := "metrics, vars, healthz, debug/pprof"
-		if hist != nil {
-			endpoints += ", api/history, dash"
-		}
-		fmt.Fprintf(stdout, "ops plane listening on %s (%s)\n", srv.URL(), endpoints)
+		fmt.Fprintf(stdout, "ops plane listening on %s (metrics, vars, healthz, debug/pprof, api/history, dash)\n", srv.URL())
 	}
 	return p, nil
 }
@@ -353,23 +345,21 @@ func minRateRules(minFPS float64) map[string]float64 {
 }
 
 // close stops the watchdog before the server so /healthz never serves a
-// half-stopped state, flushes the history store, and reports the verdict.
+// half-stopped state, takes one final sample so the end-of-run counters
+// make the history, stops the sampler (which flushes pending breach
+// forensics), and reports the verdict.
 func (p *opsPlane) close(report io.Writer) {
 	if p == nil {
 		return
 	}
 	p.wd.Stop()
-	if p.hist != nil {
-		// One final sample so the end-of-run counters make the history,
-		// then stop (which also flushes pending breach forensics).
-		p.hist.Sample()
-	}
+	p.hist.Sample()
 	p.hist.Stop()
 	p.srv.Close()
 	if breaches := p.wd.Breaches(); len(breaches) > 0 {
 		fmt.Fprintf(report, "slo watchdog: %d breach(es); first: %s\n", len(breaches), breaches[0])
 	}
-	if p.hist != nil && p.histOut != "" {
+	if p.histOut != "" {
 		path := p.histOut
 		p.histOut = "" // close runs twice (explicit + deferred); write once
 		if err := writeHistoryJSON(path, p.hist); err != nil {

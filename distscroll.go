@@ -328,7 +328,7 @@ func New(opts ...Option) (*Device, error) {
 	if cfg.root == nil {
 		return nil, errors.New("distscroll: a menu is required (WithMenu or WithEntries)")
 	}
-	if cfg.opsAddr != "" || cfg.slo != nil || cfg.history != nil {
+	if cfg.opsAddr != "" || cfg.history != nil {
 		return nil, errors.New("distscroll: the ops plane watches a fleet run; use NewFleet with WithOpsServer/WithSLOWatchdog/WithHistory")
 	}
 	if cfg.hubShards > 0 {

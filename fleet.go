@@ -51,7 +51,7 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if cfg.root == nil {
 		return nil, errors.New("distscroll: a menu is required (WithMenu or WithEntries)")
 	}
-	if (cfg.opsAddr != "" || cfg.slo != nil || cfg.history != nil) && cfg.core.Metrics == nil {
+	if (cfg.opsAddr != "" || cfg.history != nil) && cfg.core.Metrics == nil {
 		// The ops plane implies telemetry: scrape targets and SLO rules
 		// both read the registry.
 		cfg.core.Metrics = telemetry.New()
@@ -86,7 +86,7 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if cfg.core.Tracing != nil {
 		f.tracing = &Tracing{tracer: cfg.core.Tracing}
 	}
-	if cfg.opsAddr != "" || cfg.slo != nil || cfg.history != nil {
+	if cfg.opsAddr != "" || cfg.history != nil {
 		st, err := startOps(&cfg, f.metrics)
 		if err != nil {
 			return nil, err

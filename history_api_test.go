@@ -165,3 +165,38 @@ func TestHistoryOptionValidation(t *testing.T) {
 		t.Fatal("WriteHistory without WithHistory succeeded")
 	}
 }
+
+// TestSLOWatchdogImpliesHistory pins that the watchdog's sampler is the
+// history store: WithSLOWatchdog alone starts one at WithHistory's
+// defaults, and WithHistory still sets its cadence in either order.
+func TestSLOWatchdogImpliesHistory(t *testing.T) {
+	slo := distscroll.WithSLOWatchdog(distscroll.SLO{StallAfter: time.Hour})
+	for _, opts := range [][]distscroll.Option{
+		{slo},
+		{slo, distscroll.WithHistory(16, 5*time.Millisecond)},
+		{distscroll.WithHistory(16, 5*time.Millisecond), slo},
+	} {
+		f, err := distscroll.NewFleet(2, append([]distscroll.Option{distscroll.WithEntries(10)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := f.WriteHistory(&buf, 0); err != nil {
+			t.Fatalf("%d options: %v", len(opts), err)
+		}
+		var doc historyDoc
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		want := 1.0
+		if len(opts) > 1 {
+			want = 0.005
+		}
+		if doc.IntervalSeconds != want {
+			t.Fatalf("%d options: interval %gs, want %gs", len(opts), doc.IntervalSeconds, want)
+		}
+		if err := f.CloseOps(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -84,7 +84,9 @@ var headlineSeries = []string{
 // store lock — with the pre/post-breach capture. Stop flushes captures
 // still waiting, so onReady also fires (with a shorter tail) when the
 // run ends inside the tail. The returned mark carries the assigned
-// Window index. Nil-safe; a nil onReady just latches the marker.
+// Window index and, when mark.AtMillis is 0, the latest window's
+// timestamp, so a subscriber stamps its breach on the store's clock.
+// Nil-safe; a nil onReady just latches the marker.
 func (s *Store) MarkBreach(mark BreachMark, postWindows int, onReady func(*Forensics)) BreachMark {
 	if s == nil {
 		return mark
@@ -97,6 +99,9 @@ func (s *Store) MarkBreach(mark BreachMark, postWindows int, onReady func(*Foren
 	}
 	s.mu.Lock()
 	mark.Window = s.count
+	if mark.AtMillis == 0 && s.count > 0 {
+		mark.AtMillis = s.times[(s.count-1)%uint64(s.windows)]
+	}
 	if len(s.marks) < maxMarks {
 		s.marks = append(s.marks, mark)
 	}
@@ -134,7 +139,8 @@ func (s *Store) advancePending() []*pendingForensics {
 }
 
 // flushPending fires every capture still waiting for its tail (shutdown
-// path): whatever history exists now is the capture.
+// path): whatever history exists now is the capture. Caller holds
+// sampleMu.
 func (s *Store) flushPending() {
 	s.mu.Lock()
 	drained := s.pending

@@ -1,9 +1,15 @@
 // Package history is a bounded in-process time-series store over the
-// telemetry registry: it samples a Registry snapshot on a fixed cadence
-// and retains the last N windows per series in preallocated ring
-// buffers. Counters are stored as windowed rates (per second), gauges as
-// raw samples, histograms as per-window delta digests (count/p50/p99/max
-// computed from the bucket deltas between consecutive snapshots).
+// telemetry registry, and the ops plane's one sampler: it samples a
+// Registry snapshot on a fixed cadence and retains the last N windows per
+// series in preallocated ring buffers. Counters are stored as windowed
+// rates (per second), gauges as raw samples, histograms as per-window
+// delta digests (count/p50/p99/max computed from the bucket deltas
+// between consecutive snapshots).
+//
+// Subscribers (Subscribe) receive each window's previous and current
+// snapshots and the measured gap between them, serialised in window
+// order: the SLO watchdog judges health from exactly the windows the
+// dashboard shows, without a snapshot or clock of its own.
 //
 // The package is dependency-free and built for the hot ops plane:
 // appending a window is O(series) with zero steady-state allocations —
@@ -13,6 +19,8 @@
 package history
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,12 +117,24 @@ type Store struct {
 	interval time.Duration
 	now      func() time.Time
 
+	// sampleMu serialises window capture and everything that runs on a
+	// window: subscriber deliveries and forensics callbacks. It is held
+	// across those callbacks on purpose — that is the serialisation — so
+	// they must not re-enter Sample, Observe, Stop or a cancel. It is
+	// taken before mu, never inside it.
+	sampleMu sync.Mutex
+	// prev is the previous window's snapshot, handed to subscribers with
+	// the current one (sampleMu).
+	prev *telemetry.Snapshot
+	subs []*subscriber // sampleMu
+
 	mu     sync.Mutex
 	series map[string]*series
 	// times is the shared window-timestamp ring (unix milliseconds).
 	times []int64
 	// count is the total number of windows ever captured; the ring
 	// index of window g is g % windows, valid while g >= count-windows.
+	// Written with both locks held, so either one suffices to read it.
 	count  uint64
 	lastAt time.Time
 
@@ -126,6 +146,13 @@ type Store struct {
 	stop     chan struct{}
 	loopDone chan struct{}
 	stopOnce sync.Once
+}
+
+// subscriber is one Subscribe registration; from is the window count when
+// it subscribed.
+type subscriber struct {
+	fn   func(prev, cur *telemetry.Snapshot, gap time.Duration)
+	from uint64
 }
 
 // New builds a passive store: nothing samples it until the caller drives
@@ -192,7 +219,33 @@ func (s *Store) Stop() {
 	if s.loopDone != nil {
 		<-s.loopDone
 	}
+	s.sampleMu.Lock()
+	defer s.sampleMu.Unlock()
 	s.flushPending()
+}
+
+// Subscribe hands fn every window whose previous window was captured
+// after Subscribe returned — the window already in progress is skipped —
+// as the previous and current registry snapshots and the measured gap
+// between their capture times (<= 0 when the clock did not advance).
+// Deliveries run outside the store lock, one at a time in window order,
+// on whichever goroutine captured the window. fn must not call Sample,
+// Observe, Stop or the returned cancel; it may call MarkBreach and Query.
+// After cancel returns, fn is not running and never runs again. cancel is
+// idempotent. Nil-safe.
+func (s *Store) Subscribe(fn func(prev, cur *telemetry.Snapshot, gap time.Duration)) (cancel func()) {
+	if s == nil {
+		return func() {}
+	}
+	s.sampleMu.Lock()
+	defer s.sampleMu.Unlock()
+	sub := &subscriber{fn: fn, from: s.count}
+	s.subs = append(s.subs, sub)
+	return func() {
+		s.sampleMu.Lock()
+		defer s.sampleMu.Unlock()
+		s.subs = slices.DeleteFunc(s.subs, func(o *subscriber) bool { return o == sub })
+	}
 }
 
 // Windows reports the ring capacity.
@@ -228,36 +281,69 @@ func (s *Store) Sample() {
 	if s == nil {
 		return
 	}
-	s.Observe(s.reg.Snapshot())
+	s.sampleMu.Lock()
+	defer s.sampleMu.Unlock()
+	s.observe(s.reg.Snapshot())
 }
 
-// Observe appends one window from an already-taken registry snapshot.
-// Steady state performs zero allocations: every series ring and scratch
-// buffer already exists, and only a brand-new metric name allocates (its
-// one-time series creation). Counter windows record delta/dt against the
-// previous sample (a counter that went backwards — registry swap —
-// rebaselines at rate 0); gauges record the raw sample, repeating the
-// last value if the gauge vanished; histograms record the delta digest
-// between consecutive cumulative snapshots.
+// Observe appends one window from an already-taken registry snapshot,
+// which the store keeps as the next window's previous snapshot (do not
+// modify it afterwards). Steady state performs zero allocations: every
+// series ring and scratch buffer already exists, and only a brand-new
+// metric name allocates (its one-time series creation). Counter windows
+// record delta/dt against the previous sample (a counter that went
+// backwards — registry swap — rebaselines at rate 0); gauges record the
+// raw sample (non-finite as 0), repeating the last value if the gauge
+// vanished; histograms record the delta digest between consecutive
+// cumulative snapshots.
 func (s *Store) Observe(snap *telemetry.Snapshot) {
 	if s == nil || snap == nil {
 		return
 	}
+	s.sampleMu.Lock()
+	defer s.sampleMu.Unlock()
+	s.observe(snap)
+}
+
+// observe is Observe with sampleMu held.
+func (s *Store) observe(snap *telemetry.Snapshot) {
 	now := s.now()
 
 	s.mu.Lock()
+	g := s.count
+	gap := now.Sub(s.lastAt)
 	dt := s.interval.Seconds()
-	if s.count > 0 {
-		if d := now.Sub(s.lastAt).Seconds(); d > 0 {
-			dt = d
-		}
+	if g > 0 && gap > 0 {
+		dt = gap.Seconds()
 	}
 	s.lastAt = now
-	idx := int(s.count % uint64(s.windows))
+	idx := int(g % uint64(s.windows))
 	s.times[idx] = now.UnixMilli()
 
-	// Existing series first: every retained series gets a value this
-	// window even if it vanished from the snapshot.
+	// Discover series that appeared this window. Creation seeds the
+	// previous cumulative state from the current sample, so the first
+	// window records rate 0 / an empty digest rather than a spurious
+	// spike from the whole pre-history accumulation.
+	for name, v := range snap.Counters {
+		if s.series[name] == nil {
+			s.series[name] = &series{kind: KindCounter, vals: make([]float64, s.windows), prevCount: v}
+		}
+	}
+	for name := range snap.Gauges {
+		if s.series[name] == nil {
+			s.series[name] = &series{kind: KindGauge, vals: make([]float64, s.windows)}
+		}
+	}
+	for name, h := range snap.Histograms {
+		if s.series[name] == nil {
+			sr := &series{kind: KindHistogram, digs: make([]Digest, s.windows)}
+			sr.rebaseline(h)
+			s.series[name] = sr
+		}
+	}
+
+	// Every retained series gets a value this window, even if it
+	// vanished from the snapshot.
 	for name, sr := range s.series {
 		switch sr.kind {
 		case KindCounter:
@@ -271,7 +357,7 @@ func (s *Store) Observe(snap *telemetry.Snapshot) {
 			sr.vals[idx] = rate
 		case KindGauge:
 			if v, ok := snap.Gauges[name]; ok {
-				sr.lastVal = v
+				sr.lastVal = finite(v)
 			}
 			sr.vals[idx] = sr.lastVal
 		case KindHistogram:
@@ -283,37 +369,19 @@ func (s *Store) Observe(snap *telemetry.Snapshot) {
 		}
 	}
 
-	// Discover series that appeared this window. Creation seeds the
-	// previous cumulative state from the current sample, so the first
-	// window records rate 0 / an empty digest rather than a spurious
-	// spike from the whole pre-history accumulation.
-	for name, v := range snap.Counters {
-		if _, ok := s.series[name]; !ok {
-			sr := &series{kind: KindCounter, vals: make([]float64, s.windows), prevCount: v}
-			s.series[name] = sr
-		}
-	}
-	for name, v := range snap.Gauges {
-		if _, ok := s.series[name]; !ok {
-			sr := &series{kind: KindGauge, vals: make([]float64, s.windows), lastVal: v}
-			sr.vals[idx] = v
-			s.series[name] = sr
-		}
-	}
-	for name, h := range snap.Histograms {
-		if _, ok := s.series[name]; !ok {
-			sr := &series{kind: KindHistogram, digs: make([]Digest, s.windows)}
-			sr.rebaseline(h)
-			s.series[name] = sr
-		}
-	}
-
 	s.count++
 	ready := s.advancePending()
 	s.mu.Unlock()
 
 	for _, p := range ready {
 		p.fire()
+	}
+	prev := s.prev
+	s.prev = snap
+	for _, sub := range s.subs {
+		if g > sub.from {
+			sub.fn(prev, snap, gap)
+		}
 	}
 }
 
@@ -322,25 +390,10 @@ func (s *Store) Observe(snap *telemetry.Snapshot) {
 // counter regressions (registry swaps) record an empty window. Reuses
 // the series' scratch slices: zero allocations once warmed.
 func (sr *series) windowDigest(cur telemetry.HistogramSnapshot) Digest {
-	prev := &sr.prevHist
-	if len(prev.Counts) != len(cur.Counts) || prev.Count > cur.Count {
-		sr.rebaseline(cur)
-		return Digest{}
-	}
-	d := &sr.delta
-	d.Bounds = append(d.Bounds[:0], cur.Bounds...)
-	d.Counts = d.Counts[:0]
-	for i := range cur.Counts {
-		if cur.Counts[i] < prev.Counts[i] {
-			sr.rebaseline(cur)
-			return Digest{}
-		}
-		d.Counts = append(d.Counts, cur.Counts[i]-prev.Counts[i])
-	}
-	d.Count = cur.Count - prev.Count
-	d.Sum = cur.Sum - prev.Sum
+	ok := sr.delta.Delta(sr.prevHist, cur)
 	sr.rebaseline(cur)
-	if d.Count == 0 {
+	d := &sr.delta
+	if !ok || d.Count == 0 {
 		return Digest{}
 	}
 	return Digest{
@@ -358,4 +411,14 @@ func (sr *series) rebaseline(cur telemetry.HistogramSnapshot) {
 	sr.prevHist.Counts = append(sr.prevHist.Counts[:0], cur.Counts...)
 	sr.prevHist.Count = cur.Count
 	sr.prevHist.Sum = cur.Sum
+}
+
+// finite maps NaN and ±Inf to 0, the rule telemetry's exporters apply:
+// encoding/json rejects non-finite floats, so one poisoned gauge would
+// otherwise blank every /api/history response while it stays retained.
+func finite(v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0
+	}
+	return v
 }

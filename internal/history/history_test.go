@@ -327,3 +327,33 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatalf("defaults: windows=%d interval=%s", s.Windows(), s.Interval())
 	}
 }
+
+func TestSubscribe(t *testing.T) {
+	s := newTestStore(t, 8)
+	s.Observe(snap())
+	type delivery struct {
+		prev, cur *telemetry.Snapshot
+		gap       time.Duration
+	}
+	var got []delivery
+	cancel := s.Subscribe(func(prev, cur *telemetry.Snapshot, gap time.Duration) {
+		got = append(got, delivery{prev, cur, gap})
+	})
+	a, b := snap(), snap()
+	s.Observe(a) // the window in progress at Subscribe: skipped
+	if len(got) != 0 {
+		t.Fatalf("window in progress delivered: %+v", got)
+	}
+	s.Observe(b)
+	if len(got) != 1 || got[0].prev != a || got[0].cur != b || got[0].gap != time.Second {
+		t.Fatalf("delivery %+v, want (a, b, 1s)", got)
+	}
+	cancel()
+	cancel() // idempotent
+	s.Observe(snap())
+	if len(got) != 1 {
+		t.Fatalf("delivered after cancel: %d", len(got))
+	}
+	var nilStore *Store
+	nilStore.Subscribe(nil)()
+}

@@ -148,11 +148,10 @@ func TestHealthzBreachJSON(t *testing.T) {
 	}
 }
 
-// TestWatchdogBreachForensics drives the full tentpole pipeline by hand:
-// a min-rate breach marks the history timeline, the post-breach tail
+// TestWatchdogBreachForensics drives the full pipeline by hand: a
+// min-rate breach marks the history timeline, the post-breach tail
 // completes, the capture lands on the Breach record, and the flight
-// recorder dumps the pre/post table through the dedicated forensics
-// recorder.
+// recorder dumps the pre/post table through the watchdog's recorder.
 func TestWatchdogBreachForensics(t *testing.T) {
 	reg := telemetry.New()
 	c := reg.Counter(telemetry.MetricHubDecoded)
@@ -161,12 +160,8 @@ func TestWatchdogBreachForensics(t *testing.T) {
 	var dump strings.Builder
 	tracer := tracing.New(tracing.Config{Capacity: 64, Bounded: true, DumpTo: &dump})
 	st := newHistStore(t, reg)
-	clk := newFakeClock()
-	w := newWatchdog(WatchdogConfig{
-		Registry:          reg,
-		Interval:          time.Second,
+	w := StartWatchdog(WatchdogConfig{
 		MinRate:           map[string]float64{telemetry.MetricHubDecoded: 1000},
-		Now:               clk.now,
 		Tracer:            tracer,
 		History:           st,
 		PostBreachWindows: 2,
@@ -176,8 +171,7 @@ func TestWatchdogBreachForensics(t *testing.T) {
 	}
 
 	st.Sample() // pre-breach history
-	clk.advance(time.Second)
-	w.step() // counter did not move fast enough: min-rate breach
+	st.Sample() // counter did not move fast enough: min-rate breach
 
 	bs := w.Breaches()
 	if len(bs) != 1 || bs[0].Rule != "min-rate" {
@@ -189,8 +183,11 @@ func TestWatchdogBreachForensics(t *testing.T) {
 	if bs[0].WindowSeconds != 1 {
 		t.Fatalf("breach window %g, want 1", bs[0].WindowSeconds)
 	}
+	if want := st.Query(history.Query{LastK: 1}).Times[0]; bs[0].AtMillis != want {
+		t.Fatalf("breach stamped %d, want the window's time %d", bs[0].AtMillis, want)
+	}
 
-	st.Sample()
+	st.Sample() // the drain persists: one episode, no second marker
 	st.Sample() // tail complete: forensics fire on the sampler's goroutine
 
 	bs = w.Breaches()
@@ -202,7 +199,7 @@ func TestWatchdogBreachForensics(t *testing.T) {
 	}
 
 	out := dump.String()
-	for _, want := range []string{"FLIGHT RECORDER", "slo-watchdog", "slo-forensics", "pre/post-breach history", "<- breach"} {
+	for _, want := range []string{"FLIGHT RECORDER", "slo-watchdog", "pre/post-breach history", "<- breach"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
@@ -216,24 +213,21 @@ func TestWatchdogBreachForensics(t *testing.T) {
 }
 
 // TestWatchdogForensicsFlushOnStop covers the run-ends-inside-the-tail
-// path: Store.Stop flushes the pending capture so the dump still fires.
+// path: Store.Stop flushes the pending capture so the dump still fires,
+// also after the watchdog itself has stopped.
 func TestWatchdogForensicsFlushOnStop(t *testing.T) {
 	reg := telemetry.New()
 	var dump strings.Builder
 	tracer := tracing.New(tracing.Config{Capacity: 64, Bounded: true, DumpTo: &dump})
 	st := newHistStore(t, reg)
-	clk := newFakeClock()
-	w := newWatchdog(WatchdogConfig{
-		Registry: reg,
-		Interval: time.Second,
-		MinRate:  map[string]float64{telemetry.MetricHubDecoded: 1000},
-		Now:      clk.now,
-		Tracer:   tracer,
-		History:  st,
+	w := StartWatchdog(WatchdogConfig{
+		MinRate: map[string]float64{telemetry.MetricHubDecoded: 1000},
+		Tracer:  tracer,
+		History: st,
 	})
 	st.Sample()
-	clk.advance(time.Second)
-	w.step()
+	st.Sample()
+	w.Stop()
 	st.Stop() // run over before the tail: capture flushes now
 	if bs := w.Breaches(); len(bs) == 0 || bs[0].History == nil {
 		t.Fatal("Stop did not flush the pending forensics capture")

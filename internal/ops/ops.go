@@ -19,6 +19,10 @@
 // scale path's shard collector reads only published copies, so scraping
 // never blocks a tick loop. Overhead is bounded by snapshot cost times
 // scrape rate, not by fleet size per request beyond the merge itself.
+//
+// The SLO watchdog samples nothing itself: it subscribes to the history
+// store, the plane's one sampler, and judges each window the store
+// appends, so /healthz and /dash always read the same windows.
 package ops
 
 import (
@@ -50,10 +54,9 @@ type Config struct {
 
 // Server is a running ops HTTP server.
 type Server struct {
-	ln   net.Listener
-	srv  *http.Server
-	wd   atomic.Pointer[Watchdog]
-	hist atomic.Pointer[history.Store]
+	ln  net.Listener
+	srv *http.Server
+	wd  atomic.Pointer[Watchdog]
 
 	// Close is idempotent: concurrent and repeated closes collapse to
 	// one srv.Close, every caller seeing its error.
@@ -73,15 +76,11 @@ func Serve(addr string, cfg Config) (*Server, error) {
 	if cfg.Watchdog != nil {
 		s.wd.Store(cfg.Watchdog)
 	}
-	if cfg.History != nil {
-		s.hist.Store(cfg.History)
-	}
 	s.srv = &http.Server{
-		// /healthz and /api/history read their sources through the server
-		// so SetWatchdog/SetHistory can attach them after the listener is
-		// already up (a fleet binds its port at construction, its watchdog
-		// at run start).
-		Handler:           handler(cfg.Registry, s.wd.Load, s.hist.Load),
+		// /healthz reads its watchdog through the server so SetWatchdog
+		// can attach one after the listener is already up (a fleet binds
+		// its port at construction, its watchdog at run start).
+		Handler:           handler(cfg.Registry, s.wd.Load, cfg.History),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
@@ -95,15 +94,6 @@ func (s *Server) SetWatchdog(w *Watchdog) {
 		return
 	}
 	s.wd.Store(w)
-}
-
-// SetHistory points /api/history and /dash at st (nil detaches). Safe
-// while serving and safe on nil.
-func (s *Server) SetHistory(st *history.Store) {
-	if s == nil {
-		return
-	}
-	s.hist.Store(st)
 }
 
 // Addr returns the bound listen address (useful with port 0).
@@ -136,9 +126,7 @@ func (s *Server) Close() error {
 // Handler builds the ops mux without binding a listener — the unit-test
 // and embedding entry point.
 func Handler(cfg Config) http.Handler {
-	return handler(cfg.Registry,
-		func() *Watchdog { return cfg.Watchdog },
-		func() *history.Store { return cfg.History })
+	return handler(cfg.Registry, func() *Watchdog { return cfg.Watchdog }, cfg.History)
 }
 
 // healthzBody is the /healthz 503 JSON schema.
@@ -147,9 +135,10 @@ type healthzBody struct {
 	Breaches []Breach `json:"breaches"`
 }
 
-// handler is the mux over a registry plus watchdog and history accessors
-// (read per request, so a served fleet can attach them late).
-func handler(reg *telemetry.Registry, watchdog func() *Watchdog, hist func() *history.Store) http.Handler {
+// handler is the mux over a registry, a watchdog accessor (read per
+// request, so a served fleet can attach its watchdog late) and the history
+// store (nil disables /api/history and /dash).
+func handler(reg *telemetry.Registry, watchdog func() *Watchdog, st *history.Store) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -193,7 +182,6 @@ func handler(reg *telemetry.Registry, watchdog func() *Watchdog, hist func() *hi
 		enc.Encode(healthzBody{Status: "slo breach", Breaches: wd.Breaches()}) //nolint:errcheck
 	})
 	mux.HandleFunc("/api/history", func(w http.ResponseWriter, r *http.Request) {
-		st := hist()
 		if st == nil {
 			http.Error(w, "history disabled (enable WithHistory / -history-windows)", http.StatusNotFound)
 			return
@@ -214,10 +202,14 @@ func handler(reg *telemetry.Registry, watchdog func() *Watchdog, hist func() *hi
 			q.Prefixes = strings.Split(v, ",")
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		st.WriteJSON(w, q) //nolint:errcheck // client went away
+		if err := st.WriteJSON(w, q); err != nil {
+			// The encoder writes nothing on a marshal error, so the
+			// status still reaches the client.
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	})
 	mux.HandleFunc("/dash", func(w http.ResponseWriter, _ *http.Request) {
-		if hist() == nil {
+		if st == nil {
 			http.Error(w, "history disabled (enable WithHistory / -history-windows)", http.StatusNotFound)
 			return
 		}

@@ -39,12 +39,18 @@ func (b Breach) String() string {
 
 // WatchdogConfig parameterises an SLO watchdog.
 type WatchdogConfig struct {
-	// Registry is snapshotted every Interval; rules evaluate the deltas
-	// between consecutive snapshots (windowed, so a long healthy history
-	// cannot mask a current outage).
-	Registry *telemetry.Registry
-	// Interval is the evaluation period (default 1 s).
-	Interval time.Duration
+	// History is the sampler the watchdog subscribes to (required): rules
+	// evaluate the deltas between the store's consecutive windows
+	// (windowed, so a long healthy history cannot mask a current outage),
+	// timed by the store's clock. Every breach is latched as a marker on
+	// the store's timeline and schedules a forensics capture: once the
+	// post-breach tail is sampled, the pre/post capture is attached to
+	// the Breach record and — with Tracer — dumped through the flight
+	// recorder as a history table.
+	History *history.Store
+	// PostBreachWindows is the post-breach tail length in history
+	// windows (<= 0 takes history.DefaultPostWindows).
+	PostBreachWindows int
 
 	// MinRate maps counter names to their minimum healthy per-second
 	// rate-of-change. A window where delta/dt drops below the floor is a
@@ -59,103 +65,72 @@ type WatchdogConfig struct {
 	LatencyMaxP99Ms float64
 
 	// StallAfter, when > 0, breaches if the StallGauge (default
-	// sim_virtual_seconds) fails to advance for that long of wall time —
+	// sim_virtual_seconds) fails to advance for that long of window time —
 	// the stuck-clock detector for a wedged worker. A name with no gauge
 	// falls back to the counter of the same name, so progress counters
 	// (e.g. hub_frames_decoded_total) work as stall clocks too.
 	StallGauge string
 	StallAfter time.Duration
 
-	// Now supplies the watchdog's clock (default time.Now). Injectable so
-	// rule windows are testable without sleeping, and so a harness driving
-	// virtual time can window on its own monotonic source. Go time.Time
-	// carries a monotonic reading, so windows are immune to wall-clock
-	// steps either way.
-	Now func() time.Time
-
-	// OnBreach is called for every breach as it is detected (watchdog
-	// goroutine; keep it fast).
+	// OnBreach is called for every breach as it is detected (on the
+	// store's sampling goroutine; keep it fast, and do not Stop the
+	// watchdog from it).
 	OnBreach func(Breach)
-	// Tracer, when set, receives a flight-recorder anomaly per breach:
-	// the watchdog owns its own recorder, so the dump machinery's
-	// single-writer contract holds, and the bounded dump triggers exactly
-	// as it does for in-pipeline anomalies.
+	// Tracer, when set, receives a flight-recorder anomaly per breach and
+	// per forensics capture through the watchdog's own recorder. Both run
+	// on the store's serialised window path, so the dump machinery's
+	// single-writer contract holds.
 	Tracer *tracing.Tracer
-
-	// History, when set, latches a marker on the telemetry history
-	// timeline per breach and schedules a forensics capture: the store
-	// keeps sampling a post-breach tail, then the pre/post capture is
-	// attached to the Breach record and — with Tracer — dumped through
-	// the flight recorder as a history table.
-	History *history.Store
-	// PostBreachWindows is the post-breach tail length in history
-	// windows (<= 0 takes history.DefaultPostWindows).
-	PostBreachWindows int
 }
 
-// Watchdog evaluates SLO rules over windowed snapshot deltas on a
-// wall-clock loop. Health is latched: once any rule fires the watchdog
-// stays unhealthy (and /healthz stays 503) so a flapping breach cannot
-// hide from a slow scraper.
+// Watchdog evaluates SLO rules over the history store's windows. Health is
+// latched: once any rule fires the watchdog stays unhealthy (and /healthz
+// stays 503) so a flapping breach cannot hide from a slow scraper.
 type Watchdog struct {
 	cfg      WatchdogConfig
 	recorder *tracing.Recorder
-	// forensics is a second, dedicated recorder for the asynchronous
-	// history-table dumps: those fire on the history store's sampler
-	// goroutine (or its Stop caller), never on the watchdog goroutine,
-	// so sharing `recorder` would break the single-writer contract.
-	forensics *tracing.Recorder
-	now       func() time.Time
-	start     time.Time
-
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	cancel   func()
 
 	mu       sync.Mutex
 	breaches []Breach
 
-	// Evaluation-window state (watchdog goroutine only).
-	prev *telemetry.Snapshot
-	last time.Time
-
-	// Stall tracking (watchdog goroutine only): stallFor accumulates
-	// observed evaluation windows since the stall clock last moved. It is
-	// credited per window, clamped (see step), so a single stretched wall
-	// gap — a GC pause, a suspended CI runner — cannot alone exceed
-	// StallAfter while the run is healthy.
-	stallVal float64
+	// Window state, touched only on the store's serialised window path.
+	// elapsed is the observed window time since the watchdog attached
+	// (the flight-recorder timestamp); stallFor accumulates observed
+	// window time since the stall clock last moved. It is credited per
+	// window, clamped (see onWindow), so a single stretched wall gap — a
+	// GC pause, a suspended CI runner — cannot alone exceed StallAfter
+	// while the run is healthy.
+	elapsed  time.Duration
 	stallFor time.Duration
+	// evals counts evaluated windows; firing holds, per rule and metric,
+	// the last one it breached in. A windowed rule is reported when it
+	// starts failing, not again for every window it keeps failing: at a
+	// sub-second history cadence a persistent drain would otherwise fill
+	// the bounded breach list, the timeline markers, the pending captures
+	// and the tracer's dump budget within seconds, starving the forensics.
+	evals  uint64
+	firing map[ruleKey]uint64
 }
+
+// ruleKey names one windowed rule on one metric.
+type ruleKey struct{ rule, metric string }
 
 // maxBreaches bounds the retained breach list; /healthz needs the shape of
 // the failure, not an unbounded log.
 const maxBreaches = 32
 
-// StartWatchdog begins evaluating cfg's rules until Stop. Returns nil (a
-// no-op watchdog that is always healthy) when cfg.Registry is nil or no
-// rule is configured.
+// StartWatchdog subscribes cfg's rules to cfg.History until Stop. The
+// window already in progress is skipped, so a run that attaches mid-window
+// cannot read idle time from before it as a drain. Returns nil (a no-op
+// watchdog that is always healthy) when cfg.History is nil or no rule is
+// configured.
 func StartWatchdog(cfg WatchdogConfig) *Watchdog {
-	w := newWatchdog(cfg)
-	if w == nil {
-		return nil
-	}
-	go w.loop()
-	return w
-}
-
-// newWatchdog validates the config and builds a watchdog without starting
-// its loop. Tests drive evaluation windows directly through step, so rule
-// timing is exercised against the injectable clock instead of real sleeps.
-func newWatchdog(cfg WatchdogConfig) *Watchdog {
-	if cfg.Registry == nil {
+	if cfg.History == nil {
 		return nil
 	}
 	if len(cfg.MinRate) == 0 && cfg.LatencyMaxP99Ms <= 0 && cfg.StallAfter <= 0 {
 		return nil
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
 	}
 	if cfg.LatencyMetric == "" {
 		cfg.LatencyMetric = telemetry.MetricHubE2ELatency
@@ -163,80 +138,54 @@ func newWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.StallGauge == "" {
 		cfg.StallGauge = telemetry.MetricSimVirtualSeconds
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	w := &Watchdog{
-		cfg:  cfg,
-		now:  cfg.Now,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	w.start = w.now()
+	w := &Watchdog{cfg: cfg, firing: make(map[ruleKey]uint64)}
 	if cfg.Tracer != nil {
 		w.recorder = cfg.Tracer.NewRecorder("slo-watchdog", 0)
-		if cfg.History != nil {
-			w.forensics = cfg.Tracer.NewRecorder("slo-forensics", 0)
-		}
 	}
-	w.prev = cfg.Registry.Snapshot()
-	w.last = w.start
-	w.stallVal = stallValue(w.prev, cfg.StallGauge)
+	w.cancel = cfg.History.Subscribe(w.onWindow)
 	return w
 }
 
-func (w *Watchdog) loop() {
-	defer close(w.done)
-	ticker := time.NewTicker(w.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-ticker.C:
-			w.step()
-		}
+// onWindow evaluates one store window. A window stretched far beyond the
+// store's interval means the sampler (or the whole process — a GC pause, a
+// suspended CI runner) was starved of wall time, not that the pipeline
+// drained: counter deltas over such a window measure the scheduler, not
+// the model, so the rate/latency rules skip it, and the stall accumulator
+// is credited at most 2× Interval so one giant gap cannot alone latch a
+// stuck-clock breach on a healthy run. A frozen clock yields gap <= 0,
+// which evaluates nothing and accumulates nothing — wall time that did not
+// observably pass cannot count as stall time.
+func (w *Watchdog) onWindow(prev, cur *telemetry.Snapshot, gap time.Duration) {
+	window := gap
+	if window > 0 {
+		w.elapsed += window
 	}
-}
-
-// step runs one evaluation window against the injectable clock. A window
-// stretched far beyond the configured interval means the watchdog goroutine
-// (or the whole process — a GC pause, a suspended CI runner) was starved of
-// wall time, not that the pipeline drained: counter deltas over such a
-// window measure the scheduler, not the model, so the rate/latency rules
-// skip it, and the stall accumulator is credited at most 2× Interval so one
-// giant gap cannot alone latch a stuck-clock breach on a healthy run. A
-// frozen clock yields dt <= 0, which evaluates nothing and accumulates
-// nothing — wall time that did not observably pass cannot count as stall
-// time.
-func (w *Watchdog) step() {
-	now := w.now()
-	cur := w.cfg.Registry.Snapshot()
-	dt := now.Sub(w.last)
-	window := dt
-	if max := 2 * w.cfg.Interval; window > max {
+	if max := 2 * w.cfg.History.Interval(); window > max {
 		window = max
-	} else {
-		for _, b := range Evaluate(w.cfg, w.prev, cur, dt) {
-			w.report(b)
+	} else if gap > 0 {
+		w.evals++
+		for _, b := range Evaluate(w.cfg, prev, cur, gap) {
+			k := ruleKey{b.Rule, b.Metric}
+			last := w.firing[k]
+			w.firing[k] = w.evals
+			if last == 0 || last != w.evals-1 {
+				w.report(b)
+			}
 		}
 	}
-	if b, ok := w.checkStall(cur, window); ok {
+	if b, ok := w.checkStall(prev, cur, window); ok {
 		w.report(b)
 	}
-	w.prev, w.last = cur, now
 }
 
 // checkStall tracks the stall gauge across windows: any change resets the
 // accumulator; StallAfter of accumulated observed window time without one
 // is a breach.
-func (w *Watchdog) checkStall(cur *telemetry.Snapshot, window time.Duration) (Breach, bool) {
+func (w *Watchdog) checkStall(prev, cur *telemetry.Snapshot, window time.Duration) (Breach, bool) {
 	if w.cfg.StallAfter <= 0 {
 		return Breach{}, false
 	}
-	v := stallValue(cur, w.cfg.StallGauge)
-	if v != w.stallVal {
-		w.stallVal = v
+	if stallValue(cur, w.cfg.StallGauge) != stallValue(prev, w.cfg.StallGauge) {
 		w.stallFor = 0
 		return Breach{}, false
 	}
@@ -269,7 +218,7 @@ func stallValue(s *telemetry.Snapshot, name string) float64 {
 // Evaluate runs the windowed rules (min-rate, latency-p99) over a pair of
 // snapshots dt apart and returns every breach. Pure: no watchdog state, so
 // rule semantics are unit-testable without a clock. Stall detection needs
-// cross-window memory and lives in the watchdog loop.
+// cross-window memory and lives in the watchdog.
 func Evaluate(cfg WatchdogConfig, prev, cur *telemetry.Snapshot, dt time.Duration) []Breach {
 	var out []Breach
 	if dt <= 0 {
@@ -290,7 +239,8 @@ func Evaluate(cfg WatchdogConfig, prev, cur *telemetry.Snapshot, dt time.Duratio
 		ch, ok := cur.Histogram(name)
 		if ok {
 			ph, _ := prev.Histogram(name)
-			if d, ok := deltaHist(ph, ch); ok && d.Count > 0 {
+			var d telemetry.HistogramSnapshot
+			if d.Delta(ph, ch) && d.Count > 0 {
 				if p99 := d.Quantile(0.99); p99 > cfg.LatencyMaxP99Ms {
 					out = append(out, Breach{Rule: "latency-p99", Metric: name, Value: p99, Limit: cfg.LatencyMaxP99Ms, WindowSeconds: dt.Seconds()})
 				}
@@ -300,55 +250,27 @@ func Evaluate(cfg WatchdogConfig, prev, cur *telemetry.Snapshot, dt time.Duratio
 	return out
 }
 
-// deltaHist subtracts prev's bucket counts from cur's, yielding the
-// histogram of just this window. An empty prev passes cur through; a shape
-// mismatch or a counter regression (registry replaced mid-flight) reports
-// not-ok rather than inventing negative buckets.
-func deltaHist(prev, cur telemetry.HistogramSnapshot) (telemetry.HistogramSnapshot, bool) {
-	if len(prev.Counts) == 0 {
-		return cur, true
-	}
-	if len(prev.Counts) != len(cur.Counts) || prev.Count > cur.Count {
-		return telemetry.HistogramSnapshot{}, false
-	}
-	d := telemetry.HistogramSnapshot{
-		Bounds: cur.Bounds,
-		Counts: make([]uint64, len(cur.Counts)),
-		Count:  cur.Count - prev.Count,
-		Sum:    cur.Sum - prev.Sum,
-	}
-	for i := range cur.Counts {
-		if cur.Counts[i] < prev.Counts[i] {
-			return telemetry.HistogramSnapshot{}, false
-		}
-		d.Counts[i] = cur.Counts[i] - prev.Counts[i]
-	}
-	return d, true
-}
-
-// report latches unhealthy, records the breach, marks the history
-// timeline (scheduling the forensics capture), notifies OnBreach, and
-// fires the flight recorder.
+// report latches unhealthy, marks the history timeline (scheduling the
+// forensics capture, and stamping the breach with the window's time),
+// records the breach, fires the flight recorder, and notifies OnBreach.
 func (w *Watchdog) report(b Breach) {
-	b.AtMillis = w.now().UnixMilli()
-	w.mu.Lock()
+	// idx is set below, before the capture can fire: onReady runs on a
+	// later window (or the store's Stop), both serialised after this one.
 	idx := -1
+	mark := w.cfg.History.MarkBreach(history.BreachMark{
+		Rule: b.Rule, Metric: b.Metric, Value: b.Value, Limit: b.Limit,
+	}, w.cfg.PostBreachWindows, func(f *history.Forensics) {
+		w.attachForensics(idx, f)
+	})
+	b.AtMillis = mark.AtMillis
+	w.mu.Lock()
 	if len(w.breaches) < maxBreaches {
 		idx = len(w.breaches)
 		w.breaches = append(w.breaches, b)
 	}
 	w.mu.Unlock()
-	if w.cfg.History != nil {
-		mark := history.BreachMark{
-			Rule: b.Rule, Metric: b.Metric, Value: b.Value, Limit: b.Limit, AtMillis: b.AtMillis,
-		}
-		w.cfg.History.MarkBreach(mark, w.cfg.PostBreachWindows, func(f *history.Forensics) {
-			w.attachForensics(idx, f)
-		})
-	}
 	if w.recorder != nil {
-		at := w.now().Sub(w.start)
-		w.recorder.Anomaly(tracing.HopSessionSLO, 0, at,
+		w.recorder.Anomaly(tracing.HopSessionSLO, 0, w.elapsed,
 			clampU32(b.Value), clampU32(b.Limit), b.String())
 	}
 	if w.cfg.OnBreach != nil {
@@ -358,23 +280,20 @@ func (w *Watchdog) report(b Breach) {
 
 // attachForensics lands a completed history capture on its breach record
 // and dumps the pre/post table through the flight recorder. Runs on the
-// history store's goroutine via the MarkBreach callback.
+// store's window path via the MarkBreach callback.
 func (w *Watchdog) attachForensics(idx int, f *history.Forensics) {
 	if f == nil {
 		return
 	}
 	if idx >= 0 {
 		w.mu.Lock()
-		if idx < len(w.breaches) {
-			w.breaches[idx].History = f
-		}
+		w.breaches[idx].History = f
 		w.mu.Unlock()
 	}
-	if w.forensics != nil {
-		at := w.now().Sub(w.start)
+	if w.recorder != nil {
 		reason := fmt.Sprintf("%s: %s pre/post-breach history (window %d)",
 			f.Mark.Rule, f.Mark.Metric, f.Mark.Window)
-		w.forensics.AnomalyNote(tracing.HopSessionSLO, 0, at,
+		w.recorder.AnomalyNote(tracing.HopSessionSLO, 0, w.elapsed,
 			clampU32(f.Mark.Value), clampU32(f.Mark.Limit), reason, f.WriteTable)
 	}
 }
@@ -409,12 +328,13 @@ func (w *Watchdog) Breaches() []Breach {
 	return append([]Breach(nil), w.breaches...)
 }
 
-// Stop halts the evaluation loop and waits for it. Safe on nil and safe to
+// Stop unsubscribes the watchdog from its store; once it returns no rule
+// runs again, while the latched verdict stays readable and pending
+// forensics still attach when the store stops. Safe on nil and safe to
 // call twice.
 func (w *Watchdog) Stop() {
 	if w == nil {
 		return
 	}
-	w.stopOnce.Do(func() { close(w.stop) })
-	<-w.done
+	w.cancel()
 }

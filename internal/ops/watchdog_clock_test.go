@@ -11,46 +11,60 @@ import (
 )
 
 // These are the regression tests for the watchdog wall-clock bugfix: rule
-// windows are measured on the injectable clock, evaluation windows stretched
-// far beyond the interval are discounted, and wall time that did not
-// observably pass accumulates no stall credit. Each test drives evaluation
-// directly through newWatchdog + step, so no real sleeping is involved.
+// windows are measured on the history store's injectable clock, windows
+// stretched far beyond the interval are discounted, and wall time that did
+// not observably pass accumulates no stall credit. Each test drives the
+// store's windows by hand, so no real sleeping is involved.
 
-// fakeClock is an injectable watchdog clock the test advances by hand.
+// fakeClock is an injectable store clock the test advances by hand.
 type fakeClock struct{ t time.Time }
 
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
-func stepN(w *Watchdog, c *fakeClock, n int, d time.Duration) {
+
+// clockedWatchdog builds a 1 s store on clk over reg, subscribes a
+// watchdog with cfg's rules, and captures the baseline window, so every
+// later stepN window is evaluated.
+func clockedWatchdog(t *testing.T, reg *telemetry.Registry, clk *fakeClock, cfg WatchdogConfig) (*Watchdog, *history.Store) {
+	t.Helper()
+	st, err := history.New(history.Config{Registry: reg, Windows: 64, Interval: time.Second, Now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.History = st
+	w := StartWatchdog(cfg)
+	if w == nil {
+		t.Fatal("watchdog did not start")
+	}
+	st.Sample()
+	return w, st
+}
+
+// stepN captures n store windows, advancing the clock by d before each.
+func stepN(st *history.Store, c *fakeClock, n int, d time.Duration) {
 	for i := 0; i < n; i++ {
 		c.advance(d)
-		w.step()
+		st.Sample()
 	}
 }
 
 // TestWatchdogFrozenClockIsNotAStall freezes the injected clock entirely:
 // windows where no wall time observably passed must accumulate no stall
-// credit and evaluate no rate rules, no matter how often the loop fires.
+// credit and evaluate no rate rules, no matter how often the store samples.
 // Before the fix a wall-clock step backwards (NTP, suspended laptop) could
 // produce such windows against time.Now and latch a spurious breach.
 func TestWatchdogFrozenClockIsNotAStall(t *testing.T) {
 	reg := telemetry.New()
 	reg.Gauge(telemetry.MetricSimVirtualSeconds).Set(1)
 	clk := newFakeClock()
-	w := newWatchdog(WatchdogConfig{
-		Registry:   reg,
-		Interval:   time.Second,
+	w, st := clockedWatchdog(t, reg, clk, WatchdogConfig{
 		StallAfter: 3 * time.Second,
 		MinRate:    map[string]float64{telemetry.MetricHubEvents: 100},
-		Now:        clk.now,
 	})
-	if w == nil {
-		t.Fatal("watchdog did not start")
-	}
 	// 100 evaluation passes, zero elapsed time, idle registry: the stall
 	// accumulator and the min-rate rule must both stay quiet.
-	stepN(w, clk, 100, 0)
+	stepN(st, clk, 100, 0)
 	if !w.Healthy() {
 		t.Fatalf("frozen clock latched a breach: %v", w.Breaches())
 	}
@@ -65,12 +79,9 @@ func TestWatchdogGiantWallGapDiscounted(t *testing.T) {
 	reg := telemetry.New()
 	reg.Gauge(telemetry.MetricSimVirtualSeconds).Set(1)
 	clk := newFakeClock()
-	w := newWatchdog(WatchdogConfig{
-		Registry:   reg,
-		Interval:   time.Second,
+	w, st := clockedWatchdog(t, reg, clk, WatchdogConfig{
 		StallAfter: 10 * time.Second,
 		MinRate:    map[string]float64{telemetry.MetricHubEvents: 100},
-		Now:        clk.now,
 	})
 
 	// Healthy cadence: 150 events and one gauge tick per 1 s window.
@@ -81,7 +92,7 @@ func TestWatchdogGiantWallGapDiscounted(t *testing.T) {
 			virt++
 			reg.Gauge(telemetry.MetricSimVirtualSeconds).Set(virt)
 			clk.advance(time.Second)
-			w.step()
+			st.Sample()
 		}
 	}
 	tick(5)
@@ -93,7 +104,7 @@ func TestWatchdogGiantWallGapDiscounted(t *testing.T) {
 	// gauge did not move. 150 events / 3600 s is far below the floor, but
 	// the window measured the scheduler, not the pipeline.
 	clk.advance(time.Hour)
-	w.step()
+	st.Sample()
 	if !w.Healthy() {
 		t.Fatalf("one suspended window latched a breach: %v", w.Breaches())
 	}
@@ -114,17 +125,12 @@ func TestWatchdogGenuineStallStillFires(t *testing.T) {
 	reg := telemetry.New()
 	reg.Gauge(telemetry.MetricSimVirtualSeconds).Set(1)
 	clk := newFakeClock()
-	w := newWatchdog(WatchdogConfig{
-		Registry:   reg,
-		Interval:   time.Second,
-		StallAfter: 3 * time.Second,
-		Now:        clk.now,
-	})
-	stepN(w, clk, 2, time.Second)
+	w, st := clockedWatchdog(t, reg, clk, WatchdogConfig{StallAfter: 3 * time.Second})
+	stepN(st, clk, 2, time.Second)
 	if !w.Healthy() {
 		t.Fatalf("breached before StallAfter elapsed: %v", w.Breaches())
 	}
-	stepN(w, clk, 1, time.Second)
+	stepN(st, clk, 1, time.Second)
 	bs := w.Breaches()
 	if len(bs) != 1 || bs[0].Rule != "stall" || bs[0].Metric != telemetry.MetricSimVirtualSeconds {
 		t.Fatalf("genuine stall not detected: %v", bs)
@@ -133,21 +139,21 @@ func TestWatchdogGenuineStallStillFires(t *testing.T) {
 		t.Fatalf("stall breach reports %.1f s stuck, want >= 3", bs[0].Value)
 	}
 	// Still stuck: the re-armed accumulator fires again after another budget.
-	stepN(w, clk, 3, time.Second)
+	stepN(st, clk, 3, time.Second)
 	if got := len(w.Breaches()); got != 2 {
 		t.Fatalf("persistent stall fired %d times over two budgets, want 2", got)
 	}
 	// Progress clears the accumulator: no further breaches while advancing.
 	reg.Gauge(telemetry.MetricSimVirtualSeconds).Set(2)
-	stepN(w, clk, 2, time.Second)
+	stepN(st, clk, 2, time.Second)
 	reg.Gauge(telemetry.MetricSimVirtualSeconds).Set(3)
-	stepN(w, clk, 2, time.Second)
+	stepN(st, clk, 2, time.Second)
 	if got := len(w.Breaches()); got != 2 {
 		t.Fatalf("advancing clock accrued breaches: %v", w.Breaches())
 	}
 }
 
-// TestHealthzImmuneToWallClockSteps wires an injected-clock watchdog into
+// TestHealthzImmuneToWallClockSteps wires a store-driven watchdog into
 // the ops handler and walks the clock through a freeze and a giant step over
 // a healthy run: /healthz must stay 200 throughout, and must flip to 503
 // only for a genuine stall.
@@ -155,26 +161,21 @@ func TestHealthzImmuneToWallClockSteps(t *testing.T) {
 	reg := telemetry.New()
 	reg.Gauge(telemetry.MetricSimVirtualSeconds).Set(1)
 	clk := newFakeClock()
-	w := newWatchdog(WatchdogConfig{
-		Registry:   reg,
-		Interval:   time.Second,
-		StallAfter: 3 * time.Second,
-		Now:        clk.now,
-	})
-	h := handler(reg, func() *Watchdog { return w }, func() *history.Store { return nil })
+	w, st := clockedWatchdog(t, reg, clk, WatchdogConfig{StallAfter: 3 * time.Second})
+	h := handler(reg, func() *Watchdog { return w }, nil)
 	health := func() int {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 		return rr.Code
 	}
 
-	stepN(w, clk, 10, 0)   // frozen wall clock
+	stepN(st, clk, 10, 0)  // frozen wall clock
 	clk.advance(time.Hour) // giant step
-	w.step()
+	st.Sample()
 	if got := health(); got != http.StatusOK {
 		t.Fatalf("/healthz = %d after clock chaos on a healthy run, want 200", got)
 	}
-	stepN(w, clk, 3, time.Second) // genuine stall
+	stepN(st, clk, 3, time.Second) // genuine stall
 	if got := health(); got != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz = %d after a genuine stall, want 503", got)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hcilab/distscroll/internal/history"
 	"github.com/hcilab/distscroll/internal/telemetry"
 	"github.com/hcilab/distscroll/internal/tracing"
 )
@@ -81,26 +82,15 @@ func TestEvaluateZeroWindow(t *testing.T) {
 	}
 }
 
-func TestDeltaHist(t *testing.T) {
-	h := telemetry.NewLocalHistogram([]float64{1, 2, 4})
-	h.Observe(1)
-	a := h.Snapshot()
-	h.Observe(3)
-	h.Observe(3)
-	b := h.Snapshot()
-
-	d, ok := deltaHist(a, b)
-	if !ok || d.Count != 2 || d.Counts[2] != 2 || d.Counts[0] != 0 {
-		t.Fatalf("delta wrong: ok=%v %+v", ok, d)
+// liveStore starts a real sampling loop over reg at a short interval.
+func liveStore(t *testing.T, reg *telemetry.Registry) *history.Store {
+	t.Helper()
+	st, err := history.Start(history.Config{Registry: reg, Interval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Empty prev passes cur through.
-	if d, ok := deltaHist(telemetry.HistogramSnapshot{}, b); !ok || d.Count != b.Count {
-		t.Fatalf("empty-prev delta wrong: ok=%v %+v", ok, d)
-	}
-	// Regressed counters (registry swapped) refuse rather than underflow.
-	if _, ok := deltaHist(b, a); ok {
-		t.Fatal("regressed histogram accepted")
-	}
+	t.Cleanup(st.Stop)
+	return st
 }
 
 func TestWatchdogStallDetection(t *testing.T) {
@@ -109,8 +99,7 @@ func TestWatchdogStallDetection(t *testing.T) {
 	done := make(chan struct{})
 	var once bool
 	w := StartWatchdog(WatchdogConfig{
-		Registry:   reg,
-		Interval:   5 * time.Millisecond,
+		History:    liveStore(t, reg),
 		StallAfter: 25 * time.Millisecond,
 		OnBreach: func(Breach) {
 			if !once {
@@ -158,10 +147,9 @@ func TestWatchdogFiresFlightRecorder(t *testing.T) {
 	done := make(chan struct{})
 	var once bool
 	w := StartWatchdog(WatchdogConfig{
-		Registry: reg,
-		Interval: 5 * time.Millisecond,
-		MinRate:  map[string]float64{telemetry.MetricHubEvents: 100},
-		Tracer:   tracer,
+		History: liveStore(t, reg),
+		MinRate: map[string]float64{telemetry.MetricHubEvents: 100},
+		Tracer:  tracer,
 		OnBreach: func(Breach) {
 			if !once {
 				once = true
@@ -196,7 +184,14 @@ func TestWatchdogNilAndNoop(t *testing.T) {
 	if StartWatchdog(WatchdogConfig{}) != nil {
 		t.Fatal("rule-less config started a watchdog")
 	}
-	if StartWatchdog(WatchdogConfig{Registry: telemetry.New()}) != nil {
-		t.Fatal("rule-less config with registry started a watchdog")
+	st, err := history.New(history.Config{Registry: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if StartWatchdog(WatchdogConfig{History: st}) != nil {
+		t.Fatal("rule-less config with a store started a watchdog")
+	}
+	if StartWatchdog(WatchdogConfig{StallAfter: time.Second}) != nil {
+		t.Fatal("storeless config started a watchdog")
 	}
 }

@@ -201,6 +201,29 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
+// Delta sets h to the observations that landed between the cumulative
+// snapshots prev and cur: bucket counts, Count and Sum subtracted, the
+// derived quantiles zeroed (use Quantile). An empty prev passes cur
+// through. A shape mismatch or any count regression (the registry was
+// replaced mid-flight) reports false rather than inventing negative
+// buckets. h's slices are reused, so a warmed receiver never allocates.
+func (h *HistogramSnapshot) Delta(prev, cur HistogramSnapshot) bool {
+	if len(prev.Counts) > 0 && (len(prev.Counts) != len(cur.Counts) || prev.Count > cur.Count) {
+		return false
+	}
+	h.Bounds = append(h.Bounds[:0], cur.Bounds...)
+	h.Counts = append(h.Counts[:0], cur.Counts...)
+	h.Count, h.Sum = cur.Count-prev.Count, cur.Sum-prev.Sum
+	h.P50, h.P90, h.P99 = 0, 0, 0
+	for i, c := range prev.Counts {
+		if h.Counts[i] < c {
+			return false
+		}
+		h.Counts[i] -= c
+	}
+	return true
+}
+
 // merge folds another snapshot of the same shape into this one.
 func (h *HistogramSnapshot) merge(o HistogramSnapshot) error {
 	if len(h.Bounds) == 0 {

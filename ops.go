@@ -11,9 +11,9 @@ import (
 )
 
 // SLO declares the service-level objectives an observed fleet run must
-// hold. Rules are evaluated over windowed telemetry deltas on a wall-clock
-// loop, so a long healthy history cannot mask a current outage. Zero
-// values disable their rule.
+// hold. Rules are evaluated over the telemetry history's windows (see
+// WithHistory for the cadence, 1 s by default), so a long healthy history
+// cannot mask a current outage. Zero values disable their rule.
 type SLO struct {
 	// LatencyP99 breaches when the end-to-end latency p99 of a window
 	// exceeds it.
@@ -24,8 +24,6 @@ type SLO struct {
 	// StallAfter breaches when the hub decodes nothing for this long (the
 	// stuck-clock detector).
 	StallAfter time.Duration
-	// Interval is the evaluation period (default 1 s).
-	Interval time.Duration
 }
 
 // configured reports whether any rule is active.
@@ -53,15 +51,20 @@ func WithOpsServer(addr string) Option {
 
 // WithSLOWatchdog guards RunAll with the given objectives: breaches latch
 // /healthz to 503 (with WithOpsServer), are reported by Fleet.Healthy and
-// Fleet.SLOBreaches, and fire a flight-recorder dump when the fleet also
-// has WithTracing. Telemetry is implied, as with WithOpsServer.
-// Fleet-only; New rejects it.
+// Fleet.SLOBreaches, are marked on the telemetry history, and fire a
+// flight-recorder dump when the fleet also has WithTracing. The rules
+// judge the history store's windows, so the history is implied (with
+// WithHistory's defaults unless that option is given), and with it
+// telemetry. Fleet-only; New rejects it.
 func WithSLOWatchdog(slo SLO) Option {
 	return func(c *config) error {
 		if !slo.configured() {
 			return errors.New("distscroll: SLO watchdog needs at least one rule (LatencyP99, MinFramesPerSec or StallAfter)")
 		}
 		c.slo = &slo
+		if c.history == nil {
+			c.history = &historyOptions{}
+		}
 		return nil
 	}
 }
@@ -78,10 +81,11 @@ type historyOptions struct {
 // samples per series in bounded ring buffers (counters as windowed
 // rates, gauges as raw samples, histograms as per-window delta digests).
 // With WithOpsServer the history is queryable live at /api/history and
-// rendered by the /dash dashboard; with WithSLOWatchdog every breach is
-// marked on the timeline and gains a pre/post forensics capture. Zero
-// values take the defaults (120 windows, 1 s). Telemetry is implied, as
-// with WithOpsServer. Fleet-only; New rejects it.
+// rendered by the /dash dashboard; with WithSLOWatchdog the interval is
+// also the rules' evaluation window, and every breach is marked on the
+// timeline and gains a pre/post forensics capture. Zero values take the
+// defaults (120 windows, 1 s). Telemetry is implied, as with
+// WithOpsServer. Fleet-only; New rejects it.
 func WithHistory(windows int, interval time.Duration) Option {
 	return func(c *config) error {
 		if windows < 0 {
@@ -96,8 +100,9 @@ func WithHistory(windows int, interval time.Duration) Option {
 }
 
 // opsState is the fleet's live ops plane: the HTTP server and the
-// history sampler run from NewFleet until CloseOps; the watchdog runs
-// during RunAll and keeps its latched verdict afterwards.
+// history sampler run from NewFleet until CloseOps; the watchdog
+// subscribes to the sampler during RunAll and keeps its latched verdict
+// afterwards.
 type opsState struct {
 	srv      *ops.Server
 	slo      *SLO
@@ -139,8 +144,7 @@ func (f *Fleet) beginRun() {
 	}
 	slo := f.ops.slo
 	cfg := ops.WatchdogConfig{
-		Registry:        f.metrics,
-		Interval:        slo.Interval,
+		History:         f.ops.hist,
 		LatencyMaxP99Ms: float64(slo.LatencyP99) / float64(time.Millisecond),
 		StallGauge:      telemetry.MetricHubDecoded,
 		StallAfter:      slo.StallAfter,
@@ -151,7 +155,6 @@ func (f *Fleet) beginRun() {
 	if f.tracing != nil {
 		cfg.Tracer = f.tracing.tracer
 	}
-	cfg.History = f.ops.hist
 	f.ops.watchdog = ops.StartWatchdog(cfg)
 	// Point the running server's /healthz at this run's watchdog.
 	f.ops.srv.SetWatchdog(f.ops.watchdog)
@@ -186,7 +189,8 @@ func (f *Fleet) CloseOps() error {
 
 // WriteHistory writes the retained telemetry history (the last lastK
 // windows; <= 0 means everything retained) as indented JSON — the same
-// document /api/history serves. Errors without WithHistory.
+// document /api/history serves. Errors without WithHistory (or
+// WithSLOWatchdog, which implies it).
 func (f *Fleet) WriteHistory(w io.Writer, lastK int) error {
 	if f.ops == nil || f.ops.hist == nil {
 		return errors.New("distscroll: fleet has no history store (enable WithHistory)")

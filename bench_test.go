@@ -204,10 +204,7 @@ func BenchmarkHubDemux(b *testing.B) {
 			Device: uint32(i + 1), Kind: rf.MsgScroll,
 			Seq: 1, AtMillis: 40, Index: int16(i % 10),
 		}
-		payload, err := m.MarshalBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
+		payload := m.AppendBinary(nil)
 		frames[i] = payload
 	}
 	b.ResetTimer()
@@ -237,10 +234,7 @@ func BenchmarkHubDemuxInstrumented(b *testing.B) {
 			Device: uint32(i + 1), Kind: rf.MsgScroll,
 			Seq: 1, AtMillis: 40, Index: int16(i % 10),
 		}
-		payload, err := m.MarshalBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
+		payload := m.AppendBinary(nil)
 		frames[i] = payload
 	}
 	b.ResetTimer()
@@ -278,10 +272,7 @@ func BenchmarkHubDemuxTraced(b *testing.B) {
 			Device: uint32(i + 1), Kind: rf.MsgScroll,
 			Seq: 1, AtMillis: 40, Index: int16(i % 10),
 		}
-		payload, err := m.MarshalBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
+		payload := m.AppendBinary(nil)
 		frames[i] = payload
 		id := uint32(i + 1)
 		hub.Session(id).AttachTracer(tracer.NewRecorder("bench", id))
@@ -316,10 +307,7 @@ func BenchmarkHubDemuxParallel(b *testing.B) {
 			Device: uint32(i + 1), Kind: rf.MsgScroll,
 			Seq: 1, AtMillis: 40, Index: int16(i % 10),
 		}
-		payload, err := m.MarshalBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
+		payload := m.AppendBinary(nil)
 		frames[i] = payload
 		hub.Session(uint32(i + 1)) // pre-register: measure demux, not creation
 	}
@@ -364,24 +352,33 @@ func BenchmarkFleetScroll(b *testing.B) {
 	b.ReportMetric(float64(tot.Events), "events")
 }
 
-// BenchmarkA4RFCodec isolates the link codec: encode one telemetry message
-// into a frame and decode it back.
-func BenchmarkA4RFCodec(b *testing.B) {
-	msg := rf.Message{Kind: rf.MsgScroll, Seq: 7, AtMillis: 1234, Index: 3}
-	payload, err := msg.MarshalBinary()
+// BenchmarkLinkRoundTrip is the device→host radio hop at steady state: an
+// ideal rf.Link (nil rng) frames a reused payload into its inflight queue,
+// the scheduler fires the pre-bound delivery, and the decoder hands the
+// payload to the sink. With -benchmem, the allocs/op column must read 0.
+func BenchmarkLinkRoundTrip(b *testing.B) {
+	payload := rf.Message{Device: 9, Kind: rf.MsgScroll, Seq: 7, AtMillis: 1234, Index: 3}.AppendBinary(nil)
+	sched := sim.NewScheduler(sim.NewClock(0))
+	delivered := 0
+	link, err := rf.NewLink(rf.LinkConfig{Latency: 4 * time.Millisecond, BitrateBPS: 19_200}, sched, nil,
+		func([]byte, time.Duration) { delivered++ })
 	if err != nil {
 		b.Fatal(err)
 	}
-	dec := rf.NewDecoder()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame, err := rf.Encode(payload)
+		at, err := link.SendTagged(payload, rf.PayloadV1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got := dec.Feed(frame); len(got) != 1 {
-			b.Fatal("frame lost")
+		if err := sched.Run(at); err != nil {
+			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	if delivered != b.N {
+		b.Fatalf("delivered %d of %d frames", delivered, b.N)
 	}
 }
 

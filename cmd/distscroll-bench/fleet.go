@@ -297,8 +297,8 @@ func writeTelemetryJSON(path string, seed uint64, results []fleet.Result, tot fl
 			Duplicates:  res.Host.Duplicates,
 			Reordered:   res.Host.Reordered,
 			Retransmits: res.ARQ.Retransmits,
-			AcksSent:    res.Acks.AcksSent,
-			AcksLost:    res.Acks.AcksLost,
+			AcksSent:    res.Acks.Sent,
+			AcksLost:    res.Acks.Lost,
 		})
 	}
 	f, err := os.Create(path)

@@ -199,10 +199,7 @@ func TestServeRunSummary(t *testing.T) {
 	}
 	for dev := uint32(1); dev <= 3; dev++ {
 		for seq := 0; seq < 5; seq++ {
-			p, err := (rf.Message{Kind: rf.MsgScroll, Device: dev, Seq: uint16(seq), AtMillis: uint32(seq) * 40}).MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := rf.Message{Kind: rf.MsgScroll, Device: dev, Seq: uint16(seq), AtMillis: uint32(seq) * 40}.AppendBinary(nil)
 			if err := conn.Forward(p); err != nil {
 				t.Fatal(err)
 			}

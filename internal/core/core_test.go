@@ -110,10 +110,7 @@ func TestHostSeqGapCounting(t *testing.T) {
 	h := NewHost(false)
 	mk := func(seq uint16) []byte {
 		m := rf.Message{Kind: rf.MsgHeartbeat, Seq: seq}
-		b, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := m.AppendBinary(nil)
 		return b
 	}
 	h.Handle(mk(0), 0)

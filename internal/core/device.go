@@ -31,11 +31,11 @@ type Config struct {
 	KeepEventLog bool
 	// Sink overrides where the link delivers decoded payloads. Nil keeps
 	// the classic single-device wiring (the device's own Host); a fleet
-	// passes the shared Hub's Handle.
+	// passes the shared Hub's Handle, and the device then builds no Host.
 	Sink func(payload []byte, at time.Duration)
 	// Transport, when set, builds the device→host channel instead of the
-	// default lossy rf.Link — e.g. an rf.Pipe for an ideal in-process
-	// channel, or a real network backend.
+	// default lossy rf.Link — e.g. an instrumented wrapper around an
+	// rf.Link, or a real network backend.
 	Transport func(sched sim.EventScheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) (rf.Transport, error)
 	// Scheduler, when set, builds the event scheduler driving this device
 	// instead of the default timing-wheel sim.Scheduler — e.g.
@@ -44,11 +44,12 @@ type Config struct {
 	// byte-identical results.
 	Scheduler func(clock *sim.Clock) sim.EventScheduler
 	// Reliable wraps the device→host channel in the ARQ retransmission
-	// layer and opens the host→device ack back-channel (rf.ReverseLink),
-	// guaranteeing in-order delivery across a lossy link. For the classic
-	// single-device wiring the device's own Host is switched into reliable
-	// receive mode automatically; a fleet wires the shared Hub's sessions
-	// instead (see fleet.New). Ignored without a radio.
+	// layer and opens the host→device ack channel (a second rf.Link whose
+	// loss is Link.AckLossProb), guaranteeing in-order delivery across a
+	// lossy link. For the classic single-device wiring the device's own
+	// Host is switched into reliable receive mode automatically; a fleet
+	// wires the shared Hub's sessions instead (see fleet.New). Ignored
+	// without a radio.
 	Reliable bool
 	// ARQ tunes the reliable-delivery layer; zero fields take defaults.
 	// Only meaningful with Reliable set.
@@ -93,13 +94,16 @@ type Device struct {
 	// the transport is the default lossy RF model, nil otherwise.
 	Transport rf.Transport
 	Link      *rf.Link
-	// ARQ and Reverse are the reliable-delivery sender and the ack
-	// back-channel; nil unless the device was assembled with
+	// ARQ and Reverse are the reliable-delivery sender and the host→device
+	// ack channel; nil unless the device was assembled with
 	// Config.Reliable.
 	ARQ     *rf.ARQ
-	Reverse *rf.ReverseLink
-	Host    *Host
-	Menu    *menu.Menu
+	Reverse *rf.Link
+	// Host is the device's own receiver in the classic single-device
+	// wiring; nil when Config.Sink routes frames elsewhere (a fleet's
+	// shared hub).
+	Host *Host
+	Menu *menu.Menu
 	// Trace is the device's flight recorder (nil unless Config.Tracing):
 	// every pipeline stage of this device records onto it, and a fleet
 	// attaches the hub session for this device to it too.
@@ -140,23 +144,16 @@ func NewDevice(cfg Config, root *menu.Node) (*Device, error) {
 	if cfg.Tracing != nil {
 		d.Trace = cfg.Tracing.NewRecorder(fmt.Sprintf("device-%d", cfg.DeviceID), cfg.DeviceID)
 	}
-	if cfg.Metrics != nil && cfg.Sink == nil {
-		// Classic wiring: this device's own Host consumes the frames, so
-		// it owns the receive-side instrumentation. In a fleet the shared
-		// Hub does, and the per-device Host stays plain.
-		d.Host = NewHostWithMetrics(cfg.KeepEventLog, cfg.Metrics)
-	} else {
-		d.Host = NewHost(cfg.KeepEventLog)
-	}
-	if d.Trace != nil && cfg.Sink == nil {
-		// Classic wiring: this device's own Host session demuxes the
-		// frames, so it records the hub.demux leg of the trace. A fleet's
-		// shared hub sessions are attached by fleet.New instead.
-		d.Host.AttachTracer(d.Trace)
-	}
-
 	sink := cfg.Sink
 	if sink == nil {
+		// Classic wiring: this device's own Host consumes the frames, so it
+		// owns the receive-side instrumentation and records the hub.demux
+		// leg of the trace. A fleet's shared hub does both, and its
+		// sessions are attached by fleet.New.
+		d.Host = NewHostWithMetrics(cfg.KeepEventLog, cfg.Metrics)
+		if d.Trace != nil {
+			d.Host.AttachTracer(d.Trace)
+		}
 		sink = d.Host.Handle
 	}
 	var tx firmware.Sender
@@ -185,15 +182,18 @@ func NewDevice(cfg Config, root *menu.Node) (*Device, error) {
 			d.Link.SetTracer(d.Trace)
 		}
 		if cfg.Reliable {
-			// The ARQ wraps the channel and the ReverseLink closes the ack
-			// loop. Both draw from their own derived random streams, taken
+			// The ARQ wraps the channel and a second Link carries the acks
+			// back. Both draw from their own derived random streams, taken
 			// after the link's, so a non-reliable assembly sees exactly the
-			// same streams as before.
+			// same streams as before. The ack link shares the forward
+			// latency model and loses AckLossProb of the acks; its zero
+			// corruption, burst and bitrate draw nothing.
 			arq, err := rf.NewARQ(cfg.ARQ, sched, rng.Split(), tx)
 			if err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
-			rev, err := rf.NewReverseLink(cfg.Link, sched, rng.Split(), arq.HandleAck)
+			rev, err := rf.NewLink(rf.LinkConfig{LossProb: cfg.Link.AckLossProb,
+				Latency: cfg.Link.Latency, Jitter: cfg.Link.Jitter}, sched, rng.Split(), arq.HandleAck)
 			if err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
@@ -226,8 +226,15 @@ func NewDevice(cfg Config, root *menu.Node) (*Device, error) {
 		if d.ARQ != nil {
 			cfg.Metrics.RegisterCollector(d.ARQ.Collect)
 		}
-		if d.Reverse != nil {
-			cfg.Metrics.RegisterCollector(d.Reverse.Collect)
+		if rev := d.Reverse; rev != nil {
+			// The ack link publishes under its own names; its Collect
+			// would add to the forward link's rf_frames_* counters.
+			cfg.Metrics.RegisterCollector(func(s *telemetry.Snapshot) {
+				st := rev.Stats()
+				s.AddCounter(telemetry.MetricRFAcksSent, st.Sent)
+				s.AddCounter(telemetry.MetricRFAcksLost, st.Lost)
+				s.AddCounter(telemetry.MetricRFAcksDelivered, st.Delivered)
+			})
 		}
 	}
 

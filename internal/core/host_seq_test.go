@@ -10,10 +10,7 @@ import (
 func feed(t *testing.T, h *Host, seq uint16) {
 	t.Helper()
 	m := rf.Message{Kind: rf.MsgHeartbeat, Seq: seq}
-	b, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := m.AppendBinary(nil)
 	h.Handle(b, 0)
 }
 
@@ -96,10 +93,7 @@ func TestHostAcceptsAnyDeviceID(t *testing.T) {
 	// device must still be decoded and dispatched.
 	h := NewHost(true)
 	m := rf.Message{Kind: rf.MsgScroll, Device: 7, Seq: 0, Index: 2}
-	b, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := m.AppendBinary(nil)
 	var got []Event
 	h.OnScroll(func(e Event) { got = append(got, e) })
 	h.Handle(b, 0)

@@ -11,10 +11,7 @@ import (
 func frame(t *testing.T, dev uint32, seq uint16, kind rf.MsgKind) []byte {
 	t.Helper()
 	m := rf.Message{Kind: kind, Device: dev, Seq: seq}
-	b, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := m.AppendBinary(nil)
 	return b
 }
 
@@ -76,10 +73,7 @@ func TestHubAttributesSeqGapsPerDevice(t *testing.T) {
 func TestHubRoutesLegacyV0FramesToDeviceZero(t *testing.T) {
 	h := NewHub(true)
 	m := rf.Message{Kind: rf.MsgScroll, Seq: 0, Index: 4}
-	v0, err := m.MarshalBinaryV0()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v0 := m.AppendBinary(nil)[5:] // v0 is the v1 layout without its magic + device header
 	h.Handle(v0, 0)
 	s, ok := h.Lookup(0)
 	if !ok {

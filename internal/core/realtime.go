@@ -45,8 +45,8 @@ var (
 // NewRealtimeRunner wraps a device. speed <= 0 defaults to 1 (real time);
 // buffer is the event channel capacity (default 64).
 func NewRealtimeRunner(dev *Device, speed float64, buffer int) (*RealtimeRunner, error) {
-	if dev == nil {
-		return nil, errors.New("core: runner needs a device")
+	if dev == nil || dev.Host == nil {
+		return nil, errors.New("core: runner needs a device with its own Host (no Config.Sink)")
 	}
 	if speed <= 0 {
 		speed = 1

@@ -7,6 +7,7 @@ import (
 	"github.com/hcilab/distscroll/internal/menu"
 	"github.com/hcilab/distscroll/internal/rf"
 	"github.com/hcilab/distscroll/internal/sim"
+	"github.com/hcilab/distscroll/internal/telemetry"
 )
 
 func consumeSeq(s *Session, seq uint16) {
@@ -158,10 +159,7 @@ func TestSessionNoReorderOnJitteryLink(t *testing.T) {
 	}
 	const n = 300
 	for seq := uint16(0); seq < n; seq++ {
-		p, err := rf.Message{Kind: rf.MsgScroll, Device: 1, Seq: seq}.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := rf.Message{Kind: rf.MsgScroll, Device: 1, Seq: seq}.AppendBinary(nil)
 		if _, err := link.SendTagged(p, rf.PayloadV1); err != nil {
 			t.Fatal(err)
 		}
@@ -228,5 +226,47 @@ func TestDeviceReliableSingle(t *testing.T) {
 	}
 	if dev.ARQ.Stats().Retransmits == 0 {
 		t.Fatal("no retransmissions on a lossy link")
+	}
+}
+
+// TestDeviceReliableAckMetricNames pins where a reliable device publishes
+// its two links' counters: the ack link under rf_acks_*, exactly its own
+// stats, and the forward link alone under rf_frames_* — the ack link is an
+// rf.Link too, and its acks must never inflate the telemetry frame counts.
+func TestDeviceReliableAckMetricNames(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 5
+	cfg.Link.LossProb = 0.05
+	cfg.Link.AckLossProb = 0.2
+	cfg.Reliable = true
+	cfg.Metrics = telemetry.New()
+	dev, err := NewDevice(cfg, menu.FlatMenu(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.GlideTo(25, 400*time.Millisecond)
+	if err := dev.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	dev.Stop()
+	if err := dev.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	snap := cfg.Metrics.Snapshot()
+	acks, fwd := dev.Reverse.Stats(), dev.Link.Stats()
+	if acks.Sent == 0 || acks.Lost == 0 || acks.Delivered == 0 {
+		t.Fatalf("ack link not exercised: %+v", acks)
+	}
+	for name, want := range map[string]uint64{
+		telemetry.MetricRFAcksSent:      acks.Sent,
+		telemetry.MetricRFAcksLost:      acks.Lost,
+		telemetry.MetricRFAcksDelivered: acks.Delivered,
+		telemetry.MetricRFSent:          fwd.Sent,
+		telemetry.MetricRFDelivered:     fwd.Delivered,
+		telemetry.MetricRFLost:          fwd.Lost,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -151,8 +151,9 @@ func (s *Session) Device() uint32 { return s.device }
 // EnableReliable switches the session into reliable (ARQ) receive mode:
 // frames are admitted strictly in sequence order starting at seq 0 (the
 // firmware's initial sequence number) and every frame — accepted or dropped
-// — is answered by passing the cumulative ack to ack, which typically feeds
-// an rf.ReverseLink. Call before any frame flows.
+// — is answered by passing the cumulative ack to ack, which typically sends
+// it on the device's ack link (rf.Link.SendAck). Call before any frame
+// flows.
 func (s *Session) EnableReliable(ack func(cum uint16)) {
 	s.reliable = true
 	s.ackFn = ack
@@ -435,7 +436,7 @@ func (s *Session) Consume(m rf.Message, at time.Duration) {
 	}
 
 	// The cumulative ack goes out before dispatch, mirroring its pre-event
-	// position on the wire: the ack path (ReverseLink → ARQ) runs on the
+	// position on the wire: the ack path (ack rf.Link → ARQ) runs on the
 	// sending device's scheduler and holds no session lock.
 	if s.reliable && s.ackFn != nil {
 		s.ackFn(s.awaitSeq - 1)

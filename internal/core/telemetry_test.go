@@ -19,10 +19,7 @@ func feedAt(t *testing.T, sink func([]byte, time.Duration), device uint32, seq u
 		Seq:      seq,
 		AtMillis: uint32(origin / time.Millisecond),
 	}
-	b, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := m.AppendBinary(nil)
 	sink(b, at)
 }
 

@@ -16,10 +16,7 @@ import (
 func TestHubHandleZeroAlloc(t *testing.T) {
 	hub := core.NewHub(false)
 	m := rf.Message{Device: 3, Kind: rf.MsgScroll, Seq: 1, AtMillis: 40, Index: 2}
-	payload, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := m.AppendBinary(nil)
 	hub.Session(3) // pre-register so the measurement sees steady state
 	at := 5 * time.Millisecond
 	if n := testing.AllocsPerRun(1000, func() {
@@ -40,10 +37,7 @@ func TestHubHandleZeroAlloc(t *testing.T) {
 func TestHubHandleTracedZeroAlloc(t *testing.T) {
 	hub := core.NewHub(false)
 	m := rf.Message{Device: 3, Kind: rf.MsgScroll, Seq: 1, AtMillis: 40, Index: 2}
-	payload, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := m.AppendBinary(nil)
 	tracer := tracing.New(tracing.Config{Capacity: 1024, Bounded: true})
 	rec := tracer.NewRecorder("dev-3", 3)
 	hub.Session(3).AttachTracer(rec)

@@ -1,6 +1,7 @@
 package firmware
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ type recorder struct {
 
 func (r *recorder) Send(payload []byte) (time.Duration, error) {
 	var m rf.Message
-	if err := m.UnmarshalBinary(payload); err != nil {
-		return 0, err
+	if !m.Decode(payload) {
+		return 0, fmt.Errorf("undecodable payload % x", payload)
 	}
 	r.msgs = append(r.msgs, m)
 	return 0, nil

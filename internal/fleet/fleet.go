@@ -78,8 +78,8 @@ type Config struct {
 	Workers int
 	// Reliable wraps every device's RF channel in the ARQ retransmission
 	// layer and wires the hub sessions to emit cumulative acks over each
-	// device's ReverseLink, so every event stream arrives complete and in
-	// order even on a lossy channel.
+	// device's ack link (core.Device.Reverse), so every event stream
+	// arrives complete and in order even on a lossy channel.
 	Reliable bool
 	// ARQ tunes the reliable-delivery layer (window, timeouts, backoff);
 	// zero fields take defaults. Only meaningful with Reliable set.
@@ -138,10 +138,11 @@ type Result struct {
 	Host core.HostStats
 	// Link is the device's channel accounting (sent/delivered/lost).
 	Link rf.LinkStats
-	// ARQ and Acks are the reliable-delivery accounting; zero-valued
-	// unless the fleet ran with Config.Reliable.
+	// ARQ is the reliable-delivery accounting and Acks the host→device ack
+	// link's (Sent/Lost/Delivered count acks); both zero-valued unless the
+	// fleet ran with Config.Reliable.
 	ARQ  rf.ARQStats
-	Acks rf.ReverseStats
+	Acks rf.LinkStats
 	// Elapsed is the virtual time the device simulated.
 	Elapsed time.Duration
 }
@@ -217,8 +218,8 @@ func New(cfg Config) (*Runner, error) {
 			c.Reliable = true
 			c.ARQ = cfg.ARQ
 		}
-		// The hub keeps the logs; the per-device host would be a second,
-		// unused copy.
+		// The hub keeps the logs; with Sink set the device builds no Host
+		// of its own.
 		c.KeepEventLog = false
 		dev, err := core.NewDevice(c, cfg.Menu())
 		if err != nil {
@@ -411,8 +412,8 @@ func (r *Runner) runDevice(i int) Result {
 }
 
 // transportStats reads the channel accounting of whichever transport the
-// device was assembled with (*rf.Link, *rf.Pipe, and any custom backend
-// that exposes link-shaped counters).
+// device was assembled with (*rf.Link, or any custom backend that exposes
+// link-shaped counters).
 func transportStats(dev *core.Device) rf.LinkStats {
 	if tr, ok := dev.Transport.(interface{ Stats() rf.LinkStats }); ok {
 		return tr.Stats()
@@ -457,9 +458,9 @@ func (r *Runner) Total(results []Result) Totals {
 		t.Timeouts += res.ARQ.Timeouts
 		t.QueueDrops += res.ARQ.QueueDrops
 		t.RetryDrops += res.ARQ.RetryDrops
-		t.AcksSent += res.Acks.AcksSent
-		t.AcksLost += res.Acks.AcksLost
-		t.AcksDelivered += res.Acks.AcksDelivered
+		t.AcksSent += res.Acks.Sent
+		t.AcksLost += res.Acks.Lost
+		t.AcksDelivered += res.Acks.Delivered
 		t.Stale += res.Host.Stale
 		t.Resyncs += res.Host.Resyncs
 		t.VirtualSeconds += res.Elapsed.Seconds()

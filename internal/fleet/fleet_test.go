@@ -136,10 +136,13 @@ func TestFleetAttributesLossPerDevice(t *testing.T) {
 	}
 }
 
+// TestFleetWithPipeTransport plugs a custom transport in through
+// core.Config.Transport: an ideal pipe, i.e. an rf.Link that ignores the
+// device's random stream (nil rng) and so never loses or corrupts.
 func TestFleetWithPipeTransport(t *testing.T) {
 	cfg := Config{Devices: 5, Seed: 9, Core: core.DefaultConfig()}
 	cfg.Core.Transport = func(sched sim.EventScheduler, _ *sim.Rand, sink func([]byte, time.Duration)) (rf.Transport, error) {
-		return rf.NewPipe(sched, 2*time.Millisecond, sink)
+		return rf.NewLink(rf.LinkConfig{Latency: 2 * time.Millisecond}, sched, nil, sink)
 	}
 	r, results := runFleet(t, cfg)
 	for _, res := range results {
@@ -245,5 +248,23 @@ func TestFleetPerDeviceHandlers(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("device %d scroll handler never fired", i+1)
 		}
+	}
+}
+
+// TestFleetDevicesBuildNoHost checks a fleet device routes its frames to the
+// shared hub only: with core.Config.Sink set, NewDevice builds no Host (and
+// no second Session) of its own.
+func TestFleetDevicesBuildNoHost(t *testing.T) {
+	r, err := New(Config{Devices: 3, Seed: 4, Reliable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < r.Len(); i++ {
+		if h := r.Device(i).Host; h != nil {
+			t.Fatalf("device %d built an unused Host", r.ID(i))
+		}
+	}
+	if _, err := r.RunAll(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,11 +12,7 @@ import (
 func frame(t *testing.T, device uint32, seq uint16) []byte {
 	t.Helper()
 	m := rf.Message{Kind: rf.MsgScroll, Device: device, Seq: seq, AtMillis: uint32(seq) * 40}
-	p, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := rf.Encode(p)
+	f, err := rf.AppendEncode(nil, m.AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +139,7 @@ func TestIngestUndecodablePayload(t *testing.T) {
 	// payload leading with the v1 magic.
 	p := make([]byte, 15)
 	p[0] = 0xD5
-	f, err := rf.Encode(p)
+	f, err := rf.AppendEncode(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +174,7 @@ func TestLoopbackRoutesAndAccounts(t *testing.T) {
 	lb := NewLoopback(Config{Shards: 3, KeepLogs: true})
 	mk := func(device uint32, seq uint16) []byte {
 		m := rf.Message{Kind: rf.MsgScroll, Device: device, Seq: seq}
-		p, _ := m.MarshalBinary()
+		p := m.AppendBinary(nil)
 		return p
 	}
 	for seq := uint16(0); seq < 5; seq++ {
@@ -267,7 +263,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 	for seq := 0; seq < rounds; seq++ {
 		for id := uint32(1); id <= devices; id++ {
 			m := rf.Message{Kind: rf.MsgScroll, Device: id, Seq: uint16(seq)}
-			p, _ := m.MarshalBinary()
+			p := m.AppendBinary(nil)
 			if err := conn.Send(p); err != nil {
 				t.Fatal(err)
 			}
@@ -356,7 +352,7 @@ func TestConnLatchesWriteErrors(t *testing.T) {
 	if conn.Err() != nil {
 		t.Fatal("framing error latched as a stream error")
 	}
-	p, _ := (rf.Message{Kind: rf.MsgScroll, Device: 1}).MarshalBinary()
+	p := rf.Message{Kind: rf.MsgScroll, Device: 1}.AppendBinary(nil)
 	if err := conn.Forward(p); err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,10 @@ import (
 //     growing without bound. Abandoned frames (overflow or retry budget)
 //     are never silently skipped: a MsgSkip filler takes over their
 //     sequence range, so the stream the receiver sees stays contiguous.
-//   - ReverseLink is the host→device ack back-channel carrying MsgAck
-//     control messages (ordinary v1 frames), itself lossy (AckLossProb)
-//     with the same latency/jitter model as the forward path.
+//   - The host→device ack channel is a second *Link carrying MsgAck
+//     control messages (ordinary v1 frames, Link.SendAck), itself lossy
+//     (LossProb = AckLossProb) with the same latency/jitter model as the
+//     forward path.
 //   - The receiver (core.Session in reliable mode) admits frames strictly
 //     in sequence order and answers every frame with a cumulative ack.
 //
@@ -101,7 +102,7 @@ type ARQStats struct {
 	Timeouts    uint64
 	// AcksReceived counts acks that reached the device; DupAcks the subset
 	// that confirmed nothing new; BadAcks reverse-channel payloads that
-	// failed to parse as MsgAck.
+	// failed to parse as MsgAck or acknowledged a frame never sent.
 	AcksReceived uint64
 	DupAcks      uint64
 	BadAcks      uint64
@@ -308,21 +309,16 @@ func (a *ARQ) toSkip(fr *arqFrame) {
 	a.refreshSkip(fr)
 }
 
-// refreshSkip rebuilds a filler's MsgSkip payload from its current range.
+// refreshSkip rebuilds a filler's MsgSkip payload from its current range
+// (skipCount seqs ending at seq), in place in the frame's own buffer. A v0
+// filler is the v1 encoding without its 5-byte header.
 func (a *ARQ) refreshSkip(fr *arqFrame) {
-	fr.payload = buildSkip(fr.device, fr.seq, fr.skipCount, fr.ver,
-		uint32(a.sched.Clock().Now()/time.Millisecond))
-}
-
-// buildSkip marshals a MsgSkip notice covering count seqs ending at last.
-func buildSkip(device uint32, last, count uint16, ver PayloadVersion, atMillis uint32) []byte {
-	m := Message{Kind: MsgSkip, Device: device, Seq: last, Index: int16(count), AtMillis: atMillis}
-	if ver == PayloadV0 {
-		p, _ := m.MarshalBinaryV0()
-		return p
+	m := Message{Kind: MsgSkip, Device: fr.device, Seq: fr.seq, Index: int16(fr.skipCount),
+		AtMillis: uint32(a.sched.Clock().Now() / time.Millisecond)}
+	fr.payload = m.AppendBinary(fr.payload[:0])
+	if fr.ver == PayloadV0 {
+		fr.payload = fr.payload[msgLenV1-msgLenV0:]
 	}
-	p, _ := m.MarshalBinary()
-	return p
 }
 
 // rawSend bypasses reliability for unsequenced payloads.
@@ -428,12 +424,16 @@ func (a *ARQ) promote() {
 	}
 }
 
-// HandleAck is the ReverseLink sink: it parses one MsgAck payload and
+// HandleAck is the ack Link's sink: it parses one MsgAck payload and
 // slides the window past every frame the cumulative ack covers. Progress
-// resets the backoff; an ack confirming nothing counts as a duplicate.
+// resets the backoff; an ack confirming nothing counts as a duplicate. An
+// ack beyond the newest frame in flight confirms a frame never sent — no
+// receiver can produce it — so it is rejected as bad instead of emptying
+// the window of frames the receiver never got.
 func (a *ARQ) HandleAck(payload []byte, at time.Duration) {
 	var m Message
-	if !m.Decode(payload) || m.Kind != MsgAck {
+	if !m.Decode(payload) || m.Kind != MsgAck ||
+		len(a.inflight) > 0 && !seqLE(m.Seq, a.inflight[len(a.inflight)-1].seq) {
 		a.cnt.badAcks.Add(1)
 		return
 	}
@@ -454,114 +454,4 @@ func (a *ARQ) HandleAck(payload []byte, at time.Duration) {
 	a.rto = a.cfg.RTO
 	a.promote()
 	a.armTimer()
-}
-
-// ReverseStats counts ack back-channel activity.
-type ReverseStats struct {
-	AcksSent      uint64
-	AcksLost      uint64
-	AcksDelivered uint64
-}
-
-type reverseCounters struct {
-	sent, lost, delivered atomic.Uint64
-}
-
-// ReverseLink is the host→device ack back-channel, making the RF channel
-// bidirectional. It carries MsgAck control messages as ordinary framed v1
-// payloads, models loss (LinkConfig.AckLossProb) and the same centred
-// latency jitter as the forward path, and keeps per-link delivery FIFO. It
-// is driven by the owning device's scheduler: in the simulator the host's
-// ack emission happens inside that device's delivery callback, so the whole
-// round trip stays on one virtual clock.
-type ReverseLink struct {
-	cfg   LinkConfig
-	sched sim.EventScheduler
-	rng   *sim.Rand
-	dec   *Decoder
-	sink  func(payload []byte, at time.Duration)
-	cnt   reverseCounters
-
-	lastArrive time.Duration
-	// onPayload / deliverAt: persistent decoder callback and the arrival
-	// time of the ack being decoded, mirroring Link's zero-copy delivery.
-	onPayload func(payload []byte)
-	deliverAt time.Duration
-}
-
-// NewReverseLink returns an ack back-channel delivering decoded ack
-// payloads to sink (usually ARQ.HandleAck). Loss uses cfg.AckLossProb;
-// latency and jitter are shared with the forward configuration. rng may be
-// nil for an ideal reverse channel.
-func NewReverseLink(cfg LinkConfig, sched sim.EventScheduler, rng *sim.Rand, sink func(payload []byte, at time.Duration)) (*ReverseLink, error) {
-	if sched == nil {
-		return nil, fmt.Errorf("rf: reverse link: scheduler is required")
-	}
-	if sink == nil {
-		return nil, fmt.Errorf("rf: reverse link: sink is required")
-	}
-	if cfg.AckLossProb < 0 || cfg.AckLossProb > 1 {
-		return nil, fmt.Errorf("rf: reverse link: AckLossProb must be in [0,1]")
-	}
-	r := &ReverseLink{cfg: cfg, sched: sched, rng: rng, dec: NewDecoder(), sink: sink}
-	r.onPayload = func(p []byte) {
-		r.cnt.delivered.Add(1)
-		r.sink(p, r.deliverAt)
-	}
-	return r, nil
-}
-
-// Stats returns the back-channel counters.
-func (r *ReverseLink) Stats() ReverseStats {
-	return ReverseStats{
-		AcksSent:      r.cnt.sent.Load(),
-		AcksLost:      r.cnt.lost.Load(),
-		AcksDelivered: r.cnt.delivered.Load(),
-	}
-}
-
-// Collect contributes the back-channel counters to a telemetry snapshot.
-func (r *ReverseLink) Collect(s *telemetry.Snapshot) {
-	st := r.Stats()
-	s.AddCounter(telemetry.MetricRFAcksSent, st.AcksSent)
-	s.AddCounter(telemetry.MetricRFAcksLost, st.AcksLost)
-	s.AddCounter(telemetry.MetricRFAcksDelivered, st.AcksDelivered)
-}
-
-// SendAck transmits one cumulative acknowledgement for the given device:
-// every frame with sequence number <= cum (wrapping) has been delivered in
-// order.
-func (r *ReverseLink) SendAck(device uint32, cum uint16) {
-	now := r.sched.Clock().Now()
-	m := Message{Kind: MsgAck, Device: device, Seq: cum, AtMillis: uint32(now / time.Millisecond)}
-	// The payload scratch stays on the stack; only the framed copy — which
-	// must survive until the scheduled delivery — is heap-allocated.
-	var pbuf [32]byte
-	frame, err := Encode(m.AppendBinary(pbuf[:0]))
-	if err != nil {
-		return
-	}
-	r.cnt.sent.Add(1)
-
-	delay := r.cfg.Latency
-	if r.rng != nil && r.cfg.Jitter > 0 {
-		delay += time.Duration(r.rng.Uniform(-float64(r.cfg.Jitter), float64(r.cfg.Jitter)))
-		if delay < 0 {
-			delay = 0
-		}
-	}
-	arrive := now + delay
-	if arrive < r.lastArrive {
-		arrive = r.lastArrive
-	}
-	r.lastArrive = arrive
-
-	if r.rng != nil && r.rng.Bool(r.cfg.AckLossProb) {
-		r.cnt.lost.Add(1)
-		return
-	}
-	r.sched.At(arrive, func(at time.Duration) {
-		r.deliverAt = at
-		r.dec.FeedFunc(frame, r.onPayload)
-	})
 }

@@ -75,10 +75,7 @@ func TestARQSkipClampNoLivelock(t *testing.T) {
 	const total = 33_000 // > 0x7fff + window + queue: forces a second filler
 	l := newReliableLoop(t, ARQConfig{Window: 1, Queue: 2}, nil, nil)
 	for seq := 0; seq < total; seq++ {
-		p, err := (Message{Kind: MsgScroll, Device: 1, Seq: uint16(seq)}).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := Message{Kind: MsgScroll, Device: 1, Seq: uint16(seq)}.AppendBinary(nil)
 		if _, err := l.arq.SendTagged(p, PayloadV1); err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +161,7 @@ func TestARQSkipFillerPreservesVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := 0; seq < 3; seq++ {
-		p, _ := (Message{Kind: MsgScroll, Device: 0, Seq: uint16(seq)}).MarshalBinaryV0()
+		p := v0Payload(Message{Kind: MsgScroll, Device: 0, Seq: uint16(seq)})
 		if _, err := arq.SendTagged(p, PayloadV0); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +171,7 @@ func TestARQSkipFillerPreservesVersion(t *testing.T) {
 	}
 	// Ack the in-flight seq 0 so the backlog (filler first) promotes onto
 	// the wire, then drain the deliveries.
-	ack, _ := (Message{Kind: MsgAck, Device: 0, Seq: 0}).MarshalBinary()
+	ack := Message{Kind: MsgAck, Device: 0, Seq: 0}.AppendBinary(nil)
 	arq.HandleAck(ack, sched.Clock().Now())
 	if err := sched.Run(time.Second); err != nil {
 		t.Fatal(err)

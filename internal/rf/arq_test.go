@@ -16,9 +16,14 @@ type scriptTx struct {
 	latency time.Duration
 	drop    map[int]bool
 	sends   int
+	// onSend, when set, runs before every transmission.
+	onSend func()
 }
 
 func (s *scriptTx) Send(payload []byte) (time.Duration, error) {
+	if s.onSend != nil {
+		s.onSend()
+	}
 	i := s.sends
 	s.sends++
 	arrive := s.sched.Clock().Now() + s.latency
@@ -31,14 +36,14 @@ func (s *scriptTx) Send(payload []byte) (time.Duration, error) {
 }
 
 // reliableLoop wires a full device↔host round trip inside the rf package:
-// ARQ → scriptTx → in-order receiver → ReverseLink → ARQ.HandleAck. dropAcks
-// drops the i-th ack before it reaches the reverse link.
+// ARQ → scriptTx → in-order receiver → ideal ack Link → ARQ.HandleAck.
+// dropAcks drops the i-th ack before it reaches the ack link.
 type reliableLoop struct {
 	t     *testing.T
 	sched sim.EventScheduler
 	arq   *ARQ
 	tx    *scriptTx
-	rev   *ReverseLink
+	rev   *Link
 
 	await    uint16
 	got      []uint16
@@ -56,7 +61,7 @@ func newReliableLoop(t *testing.T, cfg ARQConfig, drop, dropAcks map[int]bool) *
 		t.Fatal(err)
 	}
 	l.arq = arq
-	rev, err := NewReverseLink(LinkConfig{Latency: 2 * time.Millisecond}, l.sched, nil, arq.HandleAck)
+	rev, err := NewLink(LinkConfig{Latency: 2 * time.Millisecond}, l.sched, nil, arq.HandleAck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +71,8 @@ func newReliableLoop(t *testing.T, cfg ARQConfig, drop, dropAcks map[int]bool) *
 
 func (l *reliableLoop) receive(payload []byte, at time.Duration) {
 	var m Message
-	if err := m.UnmarshalBinary(payload); err != nil {
-		l.t.Fatalf("receiver: %v", err)
+	if !m.Decode(payload) {
+		l.t.Fatalf("receiver: undecodable payload % x", payload)
 	}
 	if m.Kind == MsgSkip {
 		// Sender abandonment notice: admit when the awaited position falls
@@ -93,10 +98,7 @@ func (l *reliableLoop) receive(payload []byte, at time.Duration) {
 func (l *reliableLoop) send(seqs ...uint16) {
 	l.t.Helper()
 	for _, seq := range seqs {
-		p, err := Message{Kind: MsgScroll, Device: 1, Seq: seq}.MarshalBinary()
-		if err != nil {
-			l.t.Fatal(err)
-		}
+		p := Message{Kind: MsgScroll, Device: 1, Seq: seq}.AppendBinary(nil)
 		if _, err := l.arq.SendTagged(p, PayloadV1); err != nil {
 			l.t.Fatal(err)
 		}
@@ -254,11 +256,11 @@ func TestARQDuplicateAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := Message{Kind: MsgScroll, Device: 1, Seq: 0}.MarshalBinary()
+	p := Message{Kind: MsgScroll, Device: 1, Seq: 0}.AppendBinary(nil)
 	if _, err := arq.SendTagged(p, PayloadV1); err != nil {
 		t.Fatal(err)
 	}
-	ack, _ := Message{Kind: MsgAck, Device: 1, Seq: 0}.MarshalBinary()
+	ack := Message{Kind: MsgAck, Device: 1, Seq: 0}.AppendBinary(nil)
 	arq.HandleAck(ack, 0)
 	arq.HandleAck(ack, 0)
 	st := arq.Stats()
@@ -266,7 +268,7 @@ func TestARQDuplicateAcks(t *testing.T) {
 		t.Fatalf("ack accounting: %+v", st)
 	}
 	// A non-ack payload on the reverse channel is rejected.
-	bogus, _ := Message{Kind: MsgScroll, Device: 1, Seq: 1}.MarshalBinary()
+	bogus := Message{Kind: MsgScroll, Device: 1, Seq: 1}.AppendBinary(nil)
 	arq.HandleAck(bogus, 0)
 	if arq.Stats().BadAcks != 1 {
 		t.Fatalf("bad acks: %+v", arq.Stats())
@@ -298,15 +300,25 @@ func TestARQPassthroughUnsequenced(t *testing.T) {
 	}
 }
 
-// TestReverseLinkLossAndFIFO drops acks probabilistically and keeps the
-// surviving deliveries FIFO.
+// TestReverseLinkLossAndFIFO runs the ack channel the way core.NewDevice
+// builds it — a Link whose LossProb is the ack loss — and checks acks are
+// dropped probabilistically while the surviving deliveries stay FIFO and
+// decode as the acks that were sent.
 func TestReverseLinkLossAndFIFO(t *testing.T) {
 	sched := sim.NewScheduler(sim.NewClock(0))
 	var arrivals []time.Duration
-	rev, err := NewReverseLink(
-		LinkConfig{Latency: 4 * time.Millisecond, Jitter: 40 * time.Millisecond, AckLossProb: 0.3},
+	var cums []uint16
+	rev, err := NewLink(
+		LinkConfig{Latency: 4 * time.Millisecond, Jitter: 40 * time.Millisecond, LossProb: 0.3},
 		sched, sim.NewRand(9),
-		func(_ []byte, at time.Duration) { arrivals = append(arrivals, at) },
+		func(p []byte, at time.Duration) {
+			var m Message
+			if !m.Decode(p) || m.Kind != MsgAck || m.Device != 1 {
+				t.Fatalf("ack payload % x", p)
+			}
+			arrivals = append(arrivals, at)
+			cums = append(cums, m.Seq)
+		},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -319,15 +331,15 @@ func TestReverseLinkLossAndFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := rev.Stats()
-	if st.AcksSent != n || st.AcksLost == 0 || st.AcksDelivered != st.AcksSent-st.AcksLost {
+	if st.Sent != n || st.Lost == 0 || st.Delivered != st.Sent-st.Lost {
 		t.Fatalf("reverse accounting: %+v", st)
 	}
-	rate := float64(st.AcksLost) / n
+	rate := float64(st.Lost) / n
 	if rate < 0.2 || rate > 0.4 {
 		t.Fatalf("ack loss rate %.2f, want ~0.3", rate)
 	}
 	for i := 1; i < len(arrivals); i++ {
-		if arrivals[i] < arrivals[i-1] {
+		if arrivals[i] < arrivals[i-1] || cums[i] <= cums[i-1] {
 			t.Fatalf("ack %d overtook ack %d", i, i-1)
 		}
 	}

@@ -130,10 +130,7 @@ func TestLinkTraceDeliverAndDrop(t *testing.T) {
 	link.SetTracer(rec)
 	const frames = 200
 	for i := 0; i < frames; i++ {
-		p, err := (Message{Kind: MsgScroll, Device: 1, Seq: uint16(i)}).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := Message{Kind: MsgScroll, Device: 1, Seq: uint16(i)}.AppendBinary(nil)
 		if _, err := link.SendTagged(p, PayloadV1); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,24 @@ import (
 	"testing"
 )
 
+// crc16Bitwise is the bit-at-a-time definition of CRC-16/CCITT-FALSE
+// (poly 0x1021, init 0xFFFF): the differential-test oracle for the
+// table-driven CRC16.
+func crc16Bitwise(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc ^= uint16(b) << 8
+		for i := 0; i < 8; i++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ 0x1021
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}
+
 // TestCRC16TableMatchesBitwise pins the table-driven CRC16 byte-identical
 // to the bit-at-a-time reference over known vectors, every single-byte
 // input, and randomized buffers up to a full frame. The wire format cannot

@@ -90,32 +90,3 @@ func TestDecoderBufferBoundedOverLongStream(t *testing.T) {
 	}
 	t.Logf("stream %d bytes, %d frames, peak scratch capacity %d bytes", len(stream), frames, maxCap)
 }
-
-// TestFeedReturnsStableCopies pins the legacy Feed contract: returned
-// payloads are owned by the caller and survive later feeds that recycle the
-// decoder's internal buffer (which FeedFunc payloads explicitly do not).
-func TestFeedReturnsStableCopies(t *testing.T) {
-	d := NewDecoder()
-	first, err := Encode([]byte{0x11, 0x22, 0x33})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := d.Feed(first)
-	if len(out) != 1 {
-		t.Fatalf("got %d payloads, want 1", len(out))
-	}
-	snapshot := append([]byte(nil), out[0]...)
-
-	// Overwrite the decoder scratch with different traffic.
-	second, err := Encode([]byte{0xEE, 0xDD, 0xCC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		d.Feed(second)
-	}
-
-	if string(out[0]) != string(snapshot) {
-		t.Fatalf("Feed payload mutated by later feeds: %x, want %x", out[0], snapshot)
-	}
-}

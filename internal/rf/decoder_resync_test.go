@@ -11,7 +11,7 @@ func encodeSeq(t *testing.T, n int) (frames [][]byte, payloads [][]byte) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		p := []byte(fmt.Sprintf("p%02d", i))
-		f, err := Encode(p)
+		f, err := AppendEncode(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -21,12 +21,12 @@ func encodeSeq(t *testing.T, n int) (frames [][]byte, payloads [][]byte) {
 	return frames, payloads
 }
 
-// feedAll pushes every stream chunk through the decoder and collects the
-// decoded payloads.
+// feedAll pushes every stream chunk through the decoder and collects copies
+// of the decoded payloads (FeedFunc's payloads alias the decoder scratch).
 func feedAll(dec *Decoder, chunks ...[]byte) [][]byte {
 	var got [][]byte
 	for _, c := range chunks {
-		got = append(got, dec.Feed(c)...)
+		dec.FeedFunc(c, func(p []byte) { got = append(got, append([]byte(nil), p...)) })
 	}
 	return got
 }
@@ -112,7 +112,7 @@ func TestDecoderByteAtATimeUnderCorruption(t *testing.T) {
 	stream := bytes.Join(frames, nil)
 	var got [][]byte
 	for i := range stream {
-		got = append(got, dec.Feed(stream[i:i+1])...)
+		got = append(got, feedAll(dec, stream[i:i+1])...)
 	}
 	if len(got) < 2 {
 		t.Fatalf("recovered %d frames", len(got))

@@ -58,8 +58,8 @@ var crcTable = func() (t [256]uint16) {
 }()
 
 // CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) using the
-// byte-wise lookup table. crc16Bitwise is the definitional reference; the
-// two are pinned identical over the full input space by TestCRC16TableMatchesBitwise.
+// byte-wise lookup table. TestCRC16TableMatchesBitwise pins it to the
+// bit-at-a-time definition over the full input space.
 func CRC16(data []byte) uint16 {
 	crc := uint16(0xFFFF)
 	for _, b := range data {
@@ -68,30 +68,10 @@ func CRC16(data []byte) uint16 {
 	return crc
 }
 
-// crc16Bitwise is the bit-at-a-time reference implementation of
-// CRC-16/CCITT-FALSE — the codec every earlier revision of this package
-// shipped. It is kept as the differential-test oracle for the table-driven
-// CRC16 and as the honest "before" for ingest throughput baselines.
-func crc16Bitwise(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
-
 // AppendEncode appends the framed payload to dst and returns the extended
-// slice. It is the allocation-free sibling of Encode: a transmitter that
-// keeps a per-device scratch buffer (`buf = AppendEncode(buf[:0], p)`) pays
-// nothing per frame once the buffer has warmed up. On error dst is returned
-// unchanged.
+// slice. It is the one frame encoder: a transmitter that keeps a reusable
+// buffer (`buf = AppendEncode(buf[:0], p)`) pays nothing per frame once the
+// buffer has warmed up. On error dst is returned unchanged.
 func AppendEncode(dst, payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return dst, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(payload))
@@ -101,18 +81,6 @@ func AppendEncode(dst, payload []byte) ([]byte, error) {
 	dst = append(dst, payload...)
 	crc := CRC16(dst[base+2:]) // over len + payload
 	return binary.BigEndian.AppendUint16(dst, crc), nil
-}
-
-// Encode wraps a payload into a freshly allocated frame.
-func Encode(payload []byte) ([]byte, error) {
-	if len(payload) > MaxPayload {
-		return nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(payload))
-	}
-	frame, err := AppendEncode(make([]byte, 0, len(payload)+Overhead), payload)
-	if err != nil {
-		return nil, err
-	}
-	return frame, nil
 }
 
 // DecoderStats counts decoder outcomes.
@@ -146,25 +114,13 @@ func (d *Decoder) Stats() DecoderStats { return d.stats }
 // short reads (reads that ended mid-frame).
 func (d *Decoder) Buffered() int { return len(d.buf) }
 
-// Feed consumes raw link bytes and returns any complete payloads. Every
-// returned payload is a stable copy owned by the caller: it never aliases
-// the decoder's internal buffer and survives any number of further feeds.
-// Hot paths that can live with the stricter aliasing contract should use
-// FeedFunc, which skips the copies.
-func (d *Decoder) Feed(data []byte) [][]byte {
-	var out [][]byte
-	d.FeedFunc(data, func(p []byte) {
-		out = append(out, append([]byte(nil), p...))
-	})
-	return out
-}
-
 // FeedFunc consumes raw link bytes and invokes fn once per complete,
 // CRC-verified payload, in stream order. It is the zero-allocation receive
 // path: the payload slice aliases the decoder's internal scratch buffer and
 // is only valid for the duration of the callback — fn must fully consume or
 // copy it before returning, and must not feed this decoder reentrantly.
-// Use Feed to receive stable copies instead.
+// data itself is copied in before the first callback, so the caller may
+// reuse its bytes from inside fn.
 func (d *Decoder) FeedFunc(data []byte, fn func(payload []byte)) {
 	d.buf = append(d.buf, data...)
 	pos := 0 // scan cursor; bytes before pos are consumed

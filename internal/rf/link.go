@@ -34,9 +34,10 @@ type LinkConfig struct {
 	// BurstLossLen is the number of consecutive frames a burst drops.
 	// Values < 1 default to 4 when bursts are enabled.
 	BurstLossLen int
-	// AckLossProb is the loss probability of the host→device ack
-	// back-channel (ReverseLink). It only matters for reliable (ARQ)
-	// assemblies; the forward data path ignores it.
+	// AckLossProb is the loss probability of the host→device ack channel,
+	// a second Link whose LossProb it becomes (see core.NewDevice). It only
+	// matters for reliable (ARQ) assemblies; the forward data path ignores
+	// it.
 	AckLossProb float64
 }
 
@@ -85,9 +86,12 @@ func (c *linkCounters) stats() LinkStats {
 	}
 }
 
-// Link is a unidirectional device→host channel that delivers framed
-// payloads to a Decoder after a modelled delay, loss and corruption.
-// Delivery is driven by the shared scheduler so time is virtual.
+// Link is a unidirectional channel that delivers framed payloads to a
+// Decoder after a modelled delay, loss and corruption: device→host for
+// telemetry, host→device for the ARQ's acks (SendAck). Delivery is driven
+// by the shared scheduler so time is virtual. A Link with a nil rng and
+// zero Jitter is an ideal channel: every frame arrives intact after
+// Latency plus its airtime.
 type Link struct {
 	cfg   LinkConfig
 	sched sim.EventScheduler
@@ -96,12 +100,23 @@ type Link struct {
 	sink  func(payload []byte, at time.Duration)
 	cnt   linkCounters
 	trace *tracing.Recorder
-	// onPayload is the persistent decoder callback (built once so delivery
-	// does not allocate a closure per frame); deliverAt carries the arrival
-	// time of the frame currently being decoded. Both are only touched from
-	// scheduler callbacks, which run serially on the owning device.
+	// onPayload and deliver are the persistent decoder and scheduler
+	// callbacks (bound once so a send allocates no closure); deliverAt
+	// carries the arrival time of the frame currently being decoded. All
+	// three are only touched from scheduler callbacks, which run serially
+	// on the owning device.
 	onPayload func(payload []byte)
+	deliver   func(at time.Duration)
 	deliverAt time.Duration
+	// inflight holds the framed bytes of every scheduled delivery back to
+	// back, oldest first from offset head; each frame's length byte sits at
+	// offset 2, which corruption never flips. Arrivals are clamped
+	// non-decreasing (lastArrive) and equal-time events fire in schedule
+	// order, so deliveries pop frames in exactly the order sends pushed
+	// them. The buffer is reused: a popped frame's bytes may be overwritten
+	// as soon as the decoder has copied them.
+	inflight []byte
+	head     int
 	// busyUntil models the half-duplex serialisation of the radio.
 	busyUntil time.Duration
 	// lastArrive makes per-link delivery times monotonic: jitter may draw a
@@ -131,6 +146,9 @@ func NewLink(cfg LinkConfig, sched sim.EventScheduler, rng *sim.Rand, sink func(
 		cfg.BurstLossProb < 0 || cfg.BurstLossProb > 1 || cfg.AckLossProb < 0 || cfg.AckLossProb > 1 {
 		return nil, fmt.Errorf("rf: probabilities must be in [0,1]")
 	}
+	if cfg.Latency < 0 || cfg.Jitter < 0 {
+		return nil, fmt.Errorf("rf: negative latency or jitter")
+	}
 	if cfg.BurstLossProb > 0 && cfg.BurstLossLen < 1 {
 		cfg.BurstLossLen = 4
 	}
@@ -144,6 +162,7 @@ func NewLink(cfg LinkConfig, sched sim.EventScheduler, rng *sim.Rand, sink func(
 		}
 		l.sink(p, l.deliverAt)
 	}
+	l.deliver = l.deliverHead
 	return l, nil
 }
 
@@ -184,10 +203,18 @@ func (l *Link) Send(payload []byte) (time.Duration, error) {
 // version split cannot be fooled by payload bytes that merely look like a
 // version magic.
 func (l *Link) SendTagged(payload []byte, ver PayloadVersion) (time.Duration, error) {
-	frame, err := Encode(payload)
+	if l.head > 0 && cap(l.inflight)-len(l.inflight) < len(payload)+Overhead {
+		// Compact before the append would grow the buffer: slide the
+		// frames still on the air to the front.
+		l.inflight = l.inflight[:copy(l.inflight, l.inflight[l.head:])]
+		l.head = 0
+	}
+	queued := len(l.inflight)
+	buf, err := AppendEncode(l.inflight, payload)
 	if err != nil {
 		return 0, fmt.Errorf("rf: send: %w", err)
 	}
+	frame := buf[queued:]
 	l.cnt.sent.Add(1)
 	if ver == PayloadV1 {
 		l.cnt.sentV1.Add(1)
@@ -220,13 +247,15 @@ func (l *Link) SendTagged(payload []byte, ver PayloadVersion) (time.Duration, er
 	arrive := l.busyUntil + delay
 	// A later frame that drew a smaller jitter must not overtake an earlier
 	// one: clamp to the previous frame's arrival so per-link delivery is
-	// FIFO, as Session's in-order contract requires.
+	// FIFO, as Session's in-order contract and the inflight queue require.
 	if arrive < l.lastArrive {
 		arrive = l.lastArrive
 	}
 	l.lastArrive = arrive
 
 	if lost, burst := l.drawLoss(); lost {
+		// A lost frame is never queued; only a grown buffer is kept.
+		l.inflight = buf[:queued]
 		if l.trace != nil {
 			if seq, ok := PayloadSeq(payload); ok {
 				var b uint32
@@ -238,20 +267,43 @@ func (l *Link) SendTagged(payload []byte, ver PayloadVersion) (time.Duration, er
 		}
 		return arrive, nil
 	}
-	if l.rng != nil && l.rng.Bool(l.cfg.CorruptProb) && len(frame) > 3 {
-		// Encode handed us a private frame, so the flip happens in place.
+	if l.rng != nil && l.rng.Bool(l.cfg.CorruptProb) {
+		// The flip lands after the sync and length bytes, in this frame's
+		// private bytes of the inflight queue.
 		l.cnt.corrupted.Add(1)
 		i := 3 + l.rng.Intn(len(frame)-3)
 		frame[i] ^= 1 << uint(l.rng.Intn(8))
 	}
-
-	l.sched.At(arrive, func(at time.Duration) {
-		// The zero-copy decode path: payloads handed to the sink alias the
-		// decoder scratch, valid only inside the callback (see NewLink).
-		l.deliverAt = at
-		l.dec.FeedFunc(frame, l.onPayload)
-	})
+	l.inflight = buf
+	l.sched.At(arrive, l.deliver)
 	return arrive, nil
+}
+
+// deliverHead pops the oldest in-flight frame and feeds it to the decoder.
+// The zero-copy decode path: payloads handed to the sink alias the decoder
+// scratch, valid only inside the callback (see NewLink). The decoder copies
+// the frame before calling back, so a sink may send on this link again.
+func (l *Link) deliverHead(at time.Duration) {
+	n := Overhead + int(l.inflight[l.head+2])
+	frame := l.inflight[l.head : l.head+n]
+	l.head += n
+	if l.head == len(l.inflight) {
+		l.inflight, l.head = l.inflight[:0], 0
+	}
+	l.deliverAt = at
+	l.dec.FeedFunc(frame, l.onPayload)
+}
+
+// SendAck transmits one cumulative acknowledgement on a host→device ack
+// channel: every frame of the device with sequence number <= cum (wrapping)
+// has been delivered in order. The MsgAck payload is marshalled on the
+// stack, so an ack costs no allocation once the queue has warmed up.
+func (l *Link) SendAck(device uint32, cum uint16) {
+	m := Message{Kind: MsgAck, Device: device, Seq: cum,
+		AtMillis: uint32(l.sched.Clock().Now() / time.Millisecond)}
+	var buf [msgLenV1]byte
+	// A MsgAck payload is far below MaxPayload, so the send cannot fail.
+	_, _ = l.SendTagged(m.AppendBinary(buf[:0]), PayloadV1)
 }
 
 // drawLoss applies the loss model to one frame: an active burst swallows it

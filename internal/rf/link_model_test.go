@@ -83,20 +83,14 @@ func TestLinkArrivalsMonotonic(t *testing.T) {
 // tag explicitly.
 func TestSentVersionSplitAdversarialV0(t *testing.T) {
 	link, sched, _ := newTestLink(t, LinkConfig{}, nil)
-	adversarial, err := Message{Kind: MsgKind(verMagicV1), Seq: 9}.MarshalBinaryV0()
-	if err != nil {
-		t.Fatal(err)
-	}
+	adversarial := v0Payload(Message{Kind: MsgKind(verMagicV1), Seq: 9})
 	if adversarial[0] != verMagicV1 {
 		t.Fatal("test payload does not start with the magic byte")
 	}
 	if _, err := link.Send(adversarial); err != nil {
 		t.Fatal(err)
 	}
-	v1, err := Message{Kind: MsgScroll, Device: 2}.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1 := Message{Kind: MsgScroll, Device: 2}.AppendBinary(nil)
 	if _, err := link.SendTagged(v1, PayloadV1); err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +104,14 @@ func TestSentVersionSplitAdversarialV0(t *testing.T) {
 }
 
 func TestVersionOfAndPayloadSeq(t *testing.T) {
-	v1, _ := Message{Kind: MsgScroll, Device: 7, Seq: 0x1234}.MarshalBinary()
+	v1 := Message{Kind: MsgScroll, Device: 7, Seq: 0x1234}.AppendBinary(nil)
 	if VersionOf(v1) != PayloadV1 {
 		t.Fatal("v1 payload not recognised")
 	}
 	if seq, ok := PayloadSeq(v1); !ok || seq != 0x1234 {
 		t.Fatalf("v1 seq = %#x, %v", seq, ok)
 	}
-	v0, _ := Message{Kind: MsgSelect, Seq: 0xBEEF}.MarshalBinaryV0()
+	v0 := v0Payload(Message{Kind: MsgSelect, Seq: 0xBEEF})
 	if VersionOf(v0) != PayloadV0 {
 		t.Fatal("v0 payload not recognised")
 	}
@@ -126,7 +120,7 @@ func TestVersionOfAndPayloadSeq(t *testing.T) {
 	}
 	// A v0 payload starting with the magic byte must still be v0: it is too
 	// short to be a v1 payload.
-	adv, _ := Message{Kind: MsgKind(verMagicV1), Seq: 0x0102}.MarshalBinaryV0()
+	adv := v0Payload(Message{Kind: MsgKind(verMagicV1), Seq: 0x0102})
 	if VersionOf(adv) != PayloadV0 {
 		t.Fatal("adversarial v0 payload misclassified as v1")
 	}
@@ -176,5 +170,65 @@ func TestLinkValidatesFaultProbabilities(t *testing.T) {
 	}
 	if _, err := NewLink(LinkConfig{AckLossProb: -0.1}, sched, nil, sink); err == nil {
 		t.Fatal("want ack loss probability error")
+	}
+}
+
+// TestLinkSendFromDeliveryCallback re-sends on a link from inside its own
+// delivery callback, the way an ARQ retransmit or an ack answer can. The
+// inflight queue pops a frame before the decoder calls back, and the
+// decoder copies the frame first, so the re-send may reuse or compact the
+// popped bytes: every payload must still arrive intact and in order, and
+// the queue must stay bounded by what is on the air.
+func TestLinkSendFromDeliveryCallback(t *testing.T) {
+	const total = 500
+	payloadOf := func(i int) []byte {
+		p := make([]byte, 1+i%40)
+		for j := range p {
+			p[j] = byte(i + j)
+		}
+		return p
+	}
+	sched := sim.NewScheduler(sim.NewClock(0))
+	var link *Link
+	next, got := 0, 0
+	send := func() {
+		if _, err := link.Send(payloadOf(next)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	var err error
+	link, err = NewLink(LinkConfig{Latency: 2 * time.Millisecond, Jitter: 2 * time.Millisecond, BitrateBPS: 19_200},
+		sched, sim.NewRand(11), func(p []byte, _ time.Duration) {
+			if want := payloadOf(got); string(p) != string(want) {
+				t.Fatalf("delivery %d: % x, want % x", got, p, want)
+			}
+			got++
+			if next < total {
+				send()
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ { // keep several frames on the air at once
+		send()
+	}
+	if err := sched.Run(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if got != total {
+		t.Fatalf("delivered %d of %d", got, total)
+	}
+	if st := link.Stats(); st.Sent != total || st.Delivered != total {
+		t.Fatalf("stats: %+v", st)
+	}
+	// At most four frames of at most 45 bytes are ever queued; compaction
+	// keeps the buffer near that instead of growing with the stream.
+	if c := cap(link.inflight); c > 4*(40+Overhead)*2 {
+		t.Fatalf("inflight buffer grew to %d bytes", c)
+	}
+	if len(link.inflight) != 0 || link.head != 0 {
+		t.Fatalf("drained link still holds %d bytes at head %d", len(link.inflight), link.head)
 	}
 }

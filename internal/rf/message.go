@@ -2,7 +2,6 @@ package rf
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
 )
@@ -26,7 +25,7 @@ const (
 	// MsgAck is the host→device cumulative acknowledgement of the reliable
 	// (ARQ) stream: Seq is the highest sequence number such that every frame
 	// up to and including it has been delivered in order. It travels on the
-	// ReverseLink, never device→host.
+	// host→device ack Link (Link.SendAck), never device→host.
 	MsgAck
 	// MsgSkip is the reliable sender's abandonment notice: Seq is the last
 	// and Index the count of consecutive sequence numbers the sender has
@@ -84,9 +83,6 @@ type Message struct {
 	// the context package for the encoding.
 	Context byte
 }
-
-// ErrShortMessage is returned when decoding a truncated payload.
-var ErrShortMessage = errors.New("rf: short message")
 
 // Wire formats. The original (v0) payload starts directly with the kind
 // byte and carries no device id; the current (v1) payload is prefixed with
@@ -163,10 +159,10 @@ func PayloadDevice(payload []byte) uint32 {
 func seqLE(a, b uint16) bool { return b-a < 0x8000 }
 
 // AppendBinary appends the fixed-size v1 wire encoding of m to dst and
-// returns the extended slice. It is the allocation-free sibling of
-// MarshalBinary: a transmitter that keeps a per-device scratch buffer
-// (`buf = m.AppendBinary(buf[:0])`) pays nothing per message once the
-// buffer has warmed up.
+// returns the extended slice. It is the one message encoder: a transmitter
+// that keeps a per-device scratch buffer (`buf = m.AppendBinary(buf[:0])`)
+// pays nothing per message once the buffer has warmed up. The legacy v0
+// layout is the same bytes without the 5-byte v1 header (magic + device).
 func (m Message) AppendBinary(dst []byte) []byte {
 	dst = grow(dst, msgLenV1)
 	buf := dst[len(dst)-msgLenV1:]
@@ -186,21 +182,6 @@ func grow(dst []byte, n int) []byte {
 	return out
 }
 
-// MarshalBinary encodes the message into a fixed-size v1 payload carrying
-// the device id.
-func (m Message) MarshalBinary() ([]byte, error) {
-	return m.AppendBinary(make([]byte, 0, msgLenV1)), nil
-}
-
-// MarshalBinaryV0 encodes the message in the legacy v0 layout, which has no
-// version marker and no device id. It exists for compatibility tests and
-// for talking to pre-fleet firmware images.
-func (m Message) MarshalBinaryV0() ([]byte, error) {
-	buf := make([]byte, msgLenV0)
-	m.putV0Body(buf)
-	return buf, nil
-}
-
 func (m Message) putV0Body(buf []byte) {
 	buf[0] = byte(m.Kind)
 	binary.BigEndian.PutUint16(buf[1:], m.Seq)
@@ -212,24 +193,11 @@ func (m Message) putV0Body(buf []byte) {
 	buf[14] = m.Context
 }
 
-// UnmarshalBinary decodes a payload produced by MarshalBinary or
-// MarshalBinaryV0, selecting the version from the first byte. Legacy v0
-// payloads decode with Device zero.
-func (m *Message) UnmarshalBinary(data []byte) error {
-	if m.Decode(data) {
-		return nil
-	}
-	if len(data) >= 1 && data[0] == verMagicV1 {
-		return fmt.Errorf("%w: %d bytes, want %d (v1)", ErrShortMessage, len(data), msgLenV1)
-	}
-	return fmt.Errorf("%w: %d bytes, want %d", ErrShortMessage, len(data), msgLenV0)
-}
-
-// Decode is the allocation-free sibling of UnmarshalBinary: it decodes a
-// payload in place and reports whether it was well formed, without
-// constructing an error value. Demux hot paths use it so a storm of corrupt
-// frames costs an atomic counter increment per frame, not a garbage-
-// collected error each.
+// Decode decodes a v1 or legacy v0 payload in place, selecting the version
+// from the first byte, and reports whether it was well formed (long enough
+// for its version). Legacy v0 payloads decode with Device zero. It builds
+// no error value, so a storm of corrupt frames on a demux hot path costs a
+// counter increment per frame, not a garbage-collected error each.
 func (m *Message) Decode(data []byte) bool {
 	if len(data) >= 1 && data[0] == verMagicV1 {
 		if len(data) < msgLenV1 {

@@ -10,7 +10,7 @@ import (
 // boundary. For any input that Decode accepts:
 //
 //   - re-encoding the decoded message reproduces the bytes Decode consumed
-//     (AppendBinary for a v1 payload, MarshalBinaryV0 for a v0 one), so
+//     (AppendBinary for a v1 payload, v0Payload for a v0 one), so
 //     decoding loses nothing;
 //   - PayloadSeq and PayloadDevice, the routing fast paths that skip the
 //     full decode, agree with the decoded fields.
@@ -30,7 +30,7 @@ func FuzzMessageDecode(f *testing.F) {
 			if data[0] == verMagicV1 {
 				enc = m.AppendBinary(nil)
 			} else {
-				enc, _ = m.MarshalBinaryV0()
+				enc = v0Payload(m)
 			}
 			if !bytes.Equal(enc, data[:len(enc)]) {
 				t.Fatalf("re-encoding %+v gives %x, decoded from %x", m, enc, data[:len(enc)])

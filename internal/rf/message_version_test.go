@@ -1,7 +1,6 @@
 package rf
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -14,24 +13,22 @@ import (
 // small kind value, never the v1 magic).
 func realKind(b byte) MsgKind { return MsgKind(b%5) + MsgScroll }
 
+// v0Payload encodes m in the legacy v0 layout: its v1 encoding without the
+// 5-byte header (magic + device id).
+func v0Payload(m Message) []byte { return m.AppendBinary(nil)[msgLenV1-msgLenV0:] }
+
 func TestMessageV1RoundTripCarriesDevice(t *testing.T) {
 	f := func(kind byte, dev uint32, seq uint16, at uint32, idx int16, mv uint16, isle int16, btn, ctx byte) bool {
 		m := Message{
 			Kind: realKind(kind), Device: dev, Seq: seq, AtMillis: at,
 			Index: idx, VoltageMV: mv, Island: isle, Button: btn, Context: ctx,
 		}
-		data, err := m.MarshalBinary()
-		if err != nil {
-			return false
-		}
+		data := m.AppendBinary(nil)
 		if len(data) != msgLenV1 || data[0] != verMagicV1 {
 			return false
 		}
 		var back Message
-		if err := back.UnmarshalBinary(data); err != nil {
-			return false
-		}
-		return back == m
+		return back.Decode(data) && back == m
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -44,15 +41,12 @@ func TestMessageV0BackCompatDecode(t *testing.T) {
 			Kind: realKind(kind), Seq: seq, AtMillis: at,
 			Index: idx, VoltageMV: mv, Island: isle, Button: btn, Context: ctx,
 		}
-		data, err := m.MarshalBinaryV0()
-		if err != nil {
-			return false
-		}
+		data := v0Payload(m)
 		if len(data) != msgLenV0 {
 			return false
 		}
 		var back Message
-		if err := back.UnmarshalBinary(data); err != nil {
+		if !back.Decode(data) {
 			return false
 		}
 		// A legacy frame carries no device id: it must decode to device 0
@@ -66,24 +60,18 @@ func TestMessageV0BackCompatDecode(t *testing.T) {
 
 func TestMessageV0DecodeResetsStaleDevice(t *testing.T) {
 	v1 := Message{Kind: MsgScroll, Device: 42, Seq: 7}
-	data1, err := v1.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data1 := v1.AppendBinary(nil)
 	v0 := Message{Kind: MsgHeartbeat, Seq: 8}
-	data0, err := v0.MarshalBinaryV0()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data0 := v0Payload(v0)
 	var m Message
-	if err := m.UnmarshalBinary(data1); err != nil {
-		t.Fatal(err)
+	if !m.Decode(data1) {
+		t.Fatal("v1 payload rejected")
 	}
 	if m.Device != 42 {
 		t.Fatalf("device = %d, want 42", m.Device)
 	}
-	if err := m.UnmarshalBinary(data0); err != nil {
-		t.Fatal(err)
+	if !m.Decode(data0) {
+		t.Fatal("v0 payload rejected")
 	}
 	if m.Device != 0 {
 		t.Fatalf("v0 decode kept stale device %d", m.Device)
@@ -92,14 +80,8 @@ func TestMessageV0DecodeResetsStaleDevice(t *testing.T) {
 
 func TestMessageTruncatedPayloads(t *testing.T) {
 	m := Message{Kind: MsgScroll, Device: 9, Seq: 3}
-	v1, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v0, err := m.MarshalBinaryV0()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1 := m.AppendBinary(nil)
+	v0 := v0Payload(m)
 	cases := [][]byte{
 		nil,
 		{},
@@ -110,17 +92,40 @@ func TestMessageTruncatedPayloads(t *testing.T) {
 	}
 	for i, data := range cases {
 		var back Message
-		if err := back.UnmarshalBinary(data); !errors.Is(err, ErrShortMessage) {
-			t.Fatalf("case %d (%d bytes): err = %v, want ErrShortMessage", i, len(data), err)
+		if back.Decode(data) {
+			t.Fatalf("case %d (%d bytes): truncated payload decoded", i, len(data))
 		}
 	}
 }
 
-func TestPipeDeliversLosslessly(t *testing.T) {
+// TestIdealLinkValidation checks that the ideal channel (nil rng, zero
+// jitter) still refuses a missing scheduler or sink and a negative latency
+// or jitter.
+func TestIdealLinkValidation(t *testing.T) {
+	sched := sim.NewScheduler(sim.NewClock(0))
+	sink := func([]byte, time.Duration) {}
+	if _, err := NewLink(LinkConfig{}, nil, nil, sink); err == nil {
+		t.Fatal("want scheduler error")
+	}
+	if _, err := NewLink(LinkConfig{}, sched, nil, nil); err == nil {
+		t.Fatal("want sink error")
+	}
+	if _, err := NewLink(LinkConfig{Latency: -time.Millisecond}, sched, nil, sink); err == nil {
+		t.Fatal("want latency error")
+	}
+	if _, err := NewLink(LinkConfig{Jitter: -time.Millisecond}, sched, nil, sink); err == nil {
+		t.Fatal("want jitter error")
+	}
+}
+
+// TestIdealLinkDeliversLosslessly runs a Link with a nil rng and zero
+// jitter — the ideal in-process channel — and checks every payload arrives
+// intact, in order, after exactly the configured latency.
+func TestIdealLinkDeliversLosslessly(t *testing.T) {
 	sched := sim.NewScheduler(sim.NewClock(0))
 	var got [][]byte
 	var arrivals []time.Duration
-	pipe, err := NewPipe(sched, 3*time.Millisecond, func(p []byte, at time.Duration) {
+	link, err := NewLink(LinkConfig{Latency: 3 * time.Millisecond}, sched, nil, func(p []byte, at time.Duration) {
 		got = append(got, append([]byte(nil), p...))
 		arrivals = append(arrivals, at)
 	})
@@ -128,35 +133,23 @@ func TestPipeDeliversLosslessly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"a", "bb", "ccc"} {
-		if _, err := pipe.Send([]byte(s)); err != nil {
+		if _, err := link.Send([]byte(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := sched.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || string(got[2]) != "ccc" {
+	if len(got) != 3 || string(got[0]) != "a" || string(got[2]) != "ccc" {
 		t.Fatalf("rx = %q", got)
 	}
-	if arrivals[0] != 3*time.Millisecond {
-		t.Fatalf("arrival %v, want 3ms", arrivals[0])
+	for _, at := range arrivals {
+		if at != 3*time.Millisecond {
+			t.Fatalf("arrivals %v, want all at 3ms", arrivals)
+		}
 	}
-	st := pipe.Stats()
+	st := link.Stats()
 	if st.Sent != 3 || st.Delivered != 3 || st.Lost != 0 || st.Corrupted != 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestPipeValidation(t *testing.T) {
-	sched := sim.NewScheduler(sim.NewClock(0))
-	sink := func([]byte, time.Duration) {}
-	if _, err := NewPipe(nil, 0, sink); err == nil {
-		t.Fatal("want scheduler error")
-	}
-	if _, err := NewPipe(sched, 0, nil); err == nil {
-		t.Fatal("want sink error")
-	}
-	if _, err := NewPipe(sched, -time.Millisecond, sink); err == nil {
-		t.Fatal("want latency error")
 	}
 }

@@ -22,11 +22,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if len(payload) > MaxPayload {
 			payload = payload[:MaxPayload]
 		}
-		frame, err := Encode(payload)
+		frame, err := AppendEncode(nil, payload)
 		if err != nil {
 			return false
 		}
-		got := dec.Feed(frame)
+		got := feedAll(dec, frame)
 		if len(got) != 1 || len(got[0]) != len(payload) {
 			return false
 		}
@@ -43,19 +43,28 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeTooLarge(t *testing.T) {
-	if _, err := Encode(make([]byte, MaxPayload+1)); !errors.Is(err, ErrPayloadTooLarge) {
+	if _, err := AppendEncode(nil, make([]byte, MaxPayload+1)); !errors.Is(err, ErrPayloadTooLarge) {
 		t.Fatalf("oversized payload: %v", err)
+	}
+	// A link refuses the payload before any counter moves or any random
+	// draw is spent.
+	link, _, _ := newTestLink(t, LinkConfig{LossProb: 0.5}, sim.NewRand(1))
+	if _, err := link.Send(make([]byte, MaxPayload+1)); !errors.Is(err, ErrPayloadTooLarge) {
+		t.Fatalf("link accepted an oversized payload: %v", err)
+	}
+	if st := link.Stats(); st != (LinkStats{}) {
+		t.Fatalf("oversized send moved counters: %+v", st)
 	}
 }
 
 func TestDecoderResyncOnGarbage(t *testing.T) {
 	dec := NewDecoder()
-	frame, err := Encode([]byte("hello"))
+	frame, err := AppendEncode(nil, []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	stream := append([]byte{0x01, 0x02, 0xAA, 0x03}, frame...) // noise incl. a lone sync byte
-	got := dec.Feed(stream)
+	got := feedAll(dec, stream)
 	if len(got) != 1 || string(got[0]) != "hello" {
 		t.Fatalf("decoded %v", got)
 	}
@@ -66,36 +75,36 @@ func TestDecoderResyncOnGarbage(t *testing.T) {
 
 func TestDecoderRejectsCorruptFrame(t *testing.T) {
 	dec := NewDecoder()
-	frame, err := Encode([]byte("payload"))
+	frame, err := AppendEncode(nil, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame[5] ^= 0xFF
-	if got := dec.Feed(frame); len(got) != 0 {
+	if got := feedAll(dec, frame); len(got) != 0 {
 		t.Fatalf("corrupt frame decoded: %v", got)
 	}
 	if dec.Stats().CRCErrors != 1 {
 		t.Fatalf("crc errors = %d", dec.Stats().CRCErrors)
 	}
 	// The decoder must recover for the next good frame.
-	good, err := Encode([]byte("ok"))
+	good, err := AppendEncode(nil, []byte("ok"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dec.Feed(good); len(got) != 1 || string(got[0]) != "ok" {
+	if got := feedAll(dec, good); len(got) != 1 || string(got[0]) != "ok" {
 		t.Fatalf("decoder stuck after corruption: %v", got)
 	}
 }
 
 func TestDecoderHandlesFragmentation(t *testing.T) {
 	dec := NewDecoder()
-	frame, err := Encode([]byte("fragmented payload"))
+	frame, err := AppendEncode(nil, []byte("fragmented payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got [][]byte
 	for i := range frame {
-		got = append(got, dec.Feed(frame[i:i+1])...)
+		got = append(got, feedAll(dec, frame[i:i+1])...)
 	}
 	if len(got) != 1 || string(got[0]) != "fragmented payload" {
 		t.Fatalf("fragmented decode: %v", got)
@@ -106,13 +115,13 @@ func TestDecoderBackToBackFrames(t *testing.T) {
 	dec := NewDecoder()
 	var stream []byte
 	for _, s := range []string{"one", "two", "three"} {
-		frame, err := Encode([]byte(s))
+		frame, err := AppendEncode(nil, []byte(s))
 		if err != nil {
 			t.Fatal(err)
 		}
 		stream = append(stream, frame...)
 	}
-	got := dec.Feed(stream)
+	got := feedAll(dec, stream)
 	if len(got) != 3 || string(got[2]) != "three" {
 		t.Fatalf("batch decode: %v", got)
 	}
@@ -124,15 +133,8 @@ func TestMessageRoundTrip(t *testing.T) {
 			Kind: MsgKind(kind), Seq: seq, AtMillis: at,
 			Index: idx, VoltageMV: mv, Island: isle, Button: btn, Context: ctx,
 		}
-		data, err := m.MarshalBinary()
-		if err != nil {
-			return false
-		}
 		var back Message
-		if err := back.UnmarshalBinary(data); err != nil {
-			return false
-		}
-		return back == m
+		return back.Decode(m.AppendBinary(nil)) && back == m
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -141,8 +143,8 @@ func TestMessageRoundTrip(t *testing.T) {
 
 func TestMessageUnmarshalShort(t *testing.T) {
 	var m Message
-	if err := m.UnmarshalBinary([]byte{1, 2}); !errors.Is(err, ErrShortMessage) {
-		t.Fatalf("short unmarshal: %v", err)
+	if m.Decode([]byte{1, 2}) {
+		t.Fatal("short payload decoded")
 	}
 }
 

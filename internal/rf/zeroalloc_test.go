@@ -2,6 +2,9 @@ package rf
 
 import (
 	"testing"
+	"time"
+
+	"github.com/hcilab/distscroll/internal/sim"
 )
 
 // The zero-allocation contracts of the frame pipeline, enforced as tests so
@@ -49,7 +52,7 @@ func TestAppendEncodeZeroAlloc(t *testing.T) {
 }
 
 func TestFeedFuncZeroAlloc(t *testing.T) {
-	frame, err := Encode(testMessage().AppendBinary(nil))
+	frame, err := AppendEncode(nil, testMessage().AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,25 +72,78 @@ func TestFeedFuncZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEncodeAppendEncodeEquivalent pins the append-style encoder to the
-// allocating one byte for byte, including the error path leaving dst
+// TestLinkSendZeroAlloc pins the link's steady state at zero allocations:
+// a forward telemetry send through loss, corruption, jitter and airtime,
+// and an ack (SendAck), each followed by its delivery through the inflight
+// queue and the decoder. Frames are encoded into the link's reused
+// inflight buffer and delivered by one pre-bound callback, so once the
+// buffers have warmed up a frame costs nothing on the heap.
+func TestLinkSendZeroAlloc(t *testing.T) {
+	sched := sim.NewScheduler(sim.NewClock(0))
+	delivered := 0
+	sink := func([]byte, time.Duration) { delivered++ }
+	cfg := LinkConfig{LossProb: 0.05, CorruptProb: 0.05, Latency: 4 * time.Millisecond,
+		Jitter: 2 * time.Millisecond, BitrateBPS: 19_200}
+	fwd, err := NewLink(cfg, sched, sim.NewRand(3), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := NewLink(LinkConfig{LossProb: 0.05, Latency: 4 * time.Millisecond,
+		Jitter: 2 * time.Millisecond}, sched, sim.NewRand(4), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := testMessage().AppendBinary(nil)
+	run := func(send func()) func() {
+		return func() {
+			send()
+			send()
+			if err := sched.Run(sched.Clock().Now() + 100*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	forward := run(func() {
+		if _, err := fwd.SendTagged(payload, PayloadV1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	acks := run(func() { ack.SendAck(7, 42) })
+	for i := 0; i < 100; i++ { // warm the inflight buffers and the wheel
+		forward()
+		acks()
+	}
+	if n := testing.AllocsPerRun(1000, forward); n != 0 {
+		t.Fatalf("Link.SendTagged + delivery: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, acks); n != 0 {
+		t.Fatalf("Link.SendAck + delivery: %v allocs/op, want 0", n)
+	}
+	if delivered == 0 || fwd.Stats().Delivered == 0 || ack.Stats().Delivered == 0 {
+		t.Fatalf("nothing delivered: forward %+v, acks %+v", fwd.Stats(), ack.Stats())
+	}
+}
+
+// TestEncodeAppendEncodeEquivalent pins AppendEncode's wire layout byte for
+// byte — sync, length, payload, big-endian CRC-16 over length+payload —
+// appended after whatever dst held, including the error path leaving dst
 // untouched.
 func TestEncodeAppendEncodeEquivalent(t *testing.T) {
 	payloads := [][]byte{
+		{},
 		{0x01},
 		testMessage().AppendBinary(nil),
 		make([]byte, MaxPayload),
 	}
 	for _, p := range payloads {
-		want, err := Encode(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := append([]byte{0xEE, sync0, sync1, byte(len(p))}, p...)
+		crc := crc16Bitwise(want[3:])
+		want = append(want, byte(crc>>8), byte(crc))
 		got, err := AppendEncode([]byte{0xEE}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 1+len(want) || got[0] != 0xEE || string(got[1:]) != string(want) {
+		if string(got) != string(want) {
 			t.Fatalf("AppendEncode mismatch for %d-byte payload", len(p))
 		}
 	}

@@ -36,7 +36,8 @@ const (
 	MetricRFCorrupted = "rf_frames_corrupted_total"
 	MetricRFDelivered = "rf_frames_delivered_total"
 
-	// Ack back-channel (ReverseLink) counters for reliable assemblies.
+	// Ack channel counters (the device's host→device ack rf.Link) for
+	// reliable assemblies.
 	MetricRFAcksSent      = "rf_acks_sent_total"
 	MetricRFAcksLost      = "rf_acks_lost_total"
 	MetricRFAcksDelivered = "rf_acks_delivered_total"

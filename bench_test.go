@@ -332,6 +332,27 @@ func BenchmarkHubDemuxParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkHubRegister measures session registration: one op registers
+// 16,384 fresh device ids (1..16,384, the order a fleet registers them) on
+// a new hub. The fixed op size keeps one op finite even where registration
+// is quadratic. Reported per session.
+func BenchmarkHubRegister(b *testing.B) {
+	const sessions = 1 << 14
+	var hub *core.Hub
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hub = core.NewHub(false)
+		for id := uint32(1); id <= sessions; id++ {
+			hub.Session(id)
+		}
+	}
+	b.StopTimer()
+	if st := hub.Stats(); st.Devices != sessions {
+		b.Fatalf("hub holds %d devices, want %d", st.Devices, sessions)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sessions*b.N), "ns/session")
+}
+
 // BenchmarkFleetScroll runs a full 16-device fleet — sensors, firmware,
 // lossy radios and the shared hub — through the scripted menu workload per
 // iteration and reports the simulated decode throughput.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,29 +32,30 @@ type HubStats struct {
 
 // denseLimit bounds the dense (array-indexed) part of the session table.
 // Fleet ids are small and sequential (1..n), so almost every lookup is one
-// bounds check and one slice index; ids above the limit fall back to a map
-// so a stray 32-bit id cannot balloon the array.
+// bounds check and one slot load; ids at or above the limit live in the
+// hub's sparse map so a stray 32-bit id cannot balloon the array.
 const denseLimit = 1 << 20
 
-// sessionTable is one immutable snapshot of the hub's device→session
-// routing state. Lookups go through an atomic pointer load, so the demux
-// hot path never takes a lock; registration builds a fresh table and swaps
-// it in (read-mostly copy-on-write — sessions are created once per device
-// and then live for the whole run).
+// sessionTable is the dense device→session array: one atomic slot per id
+// below len(dense), nil while unregistered. Registering an id that fits is
+// one Store into the current table; an id past the end allocates a table
+// sized to the next power of two above it, copies the slots across and
+// publishes it with one swap, so a run's table garbage totals at most one
+// final table. Both happen under Hub.mu. A swapped-out table is never
+// written again: a reader holding a stale one sees every session
+// registered before the swap (the pointers were copied forward) and nil
+// for any registered after it, and nil sends it down the slow path, which
+// re-checks the current table under the lock.
 type sessionTable struct {
-	dense  []*Session          // ids < len(dense), nil when unregistered
-	sparse map[uint32]*Session // ids >= denseLimit (rare)
+	dense []atomic.Pointer[Session]
 }
 
-// lookup returns the session for a device id, or nil.
+// lookup returns the session for a dense device id, or nil.
 func (t *sessionTable) lookup(id uint32) *Session {
 	if id < uint32(len(t.dense)) {
-		return t.dense[id]
+		return t.dense[id].Load()
 	}
-	if t.sparse == nil {
-		return nil
-	}
-	return t.sparse[id]
+	return nil
 }
 
 var emptyTable = &sessionTable{}
@@ -66,18 +68,20 @@ var emptyTable = &sessionTable{}
 //
 // A hub is safe for concurrent use by many device goroutines; frames from
 // any single device must arrive in order. The steady-state demux path is
-// contention-free: an atomic table load, a slice index and the per-device
+// contention-free: an atomic table load, one slot load and the per-device
 // session state — no global lock, so 64 device goroutines demux without
 // serialising, and a corrupt-frame storm only touches an atomic counter.
+// Registration is amortised O(1): dense ids fill table slots, and stray ids
+// at or above denseLimit go to a sync.Map (written once, read many times).
 type Hub struct {
 	keepLogs bool
 	metrics  *telemetry.Registry
 
 	table     atomic.Pointer[sessionTable]
+	sparse    sync.Map // uint32 id >= denseLimit → *Session
 	badFrames atomic.Uint64
 
-	mu    sync.Mutex // guards table swaps and the registration order
-	order []uint32   // ids in registration order, for deterministic iteration
+	mu sync.Mutex // serialises registration and table growth
 }
 
 // NewHub returns an empty hub. With keepLogs set every session retains its
@@ -92,8 +96,7 @@ func NewHub(keepLogs bool) *Hub {
 // atomics, so the demux hot path pays nothing beyond the per-frame
 // latency bucket increment. A nil registry yields a plain hub.
 func NewHubWithMetrics(keepLogs bool, reg *telemetry.Registry) *Hub {
-	h := &Hub{keepLogs: keepLogs, metrics: reg}
-	h.table.Store(emptyTable)
+	h := NewHubDetached(keepLogs, reg)
 	if reg != nil {
 		reg.RegisterCollector(h.collect)
 	}
@@ -113,15 +116,22 @@ func NewHubDetached(keepLogs bool, reg *telemetry.Registry) *Hub {
 	return h
 }
 
-// sessions returns every session in registration order.
+// sessionsInOrder returns every session in ascending id order: the dense
+// slots first, then the sparse ids sorted.
 func (h *Hub) sessionsInOrder() []*Session {
-	h.mu.Lock()
-	t := h.table.Load()
-	out := make([]*Session, 0, len(h.order))
-	for _, id := range h.order {
-		out = append(out, t.lookup(id))
+	var out []*Session
+	for i, t := 0, h.table.Load(); i < len(t.dense); i++ {
+		if s := t.dense[i].Load(); s != nil {
+			out = append(out, s)
+		}
 	}
-	h.mu.Unlock()
+	dense := len(out)
+	h.sparse.Range(func(_, v any) bool {
+		out = append(out, v.(*Session))
+		return true
+	})
+	sparse := out[dense:]
+	sort.Slice(sparse, func(i, j int) bool { return sparse[i].device < sparse[j].device })
 	return out
 }
 
@@ -149,60 +159,53 @@ func (h *Hub) Collect(snap *telemetry.Snapshot) int {
 // Session returns the session for the given device id, creating it if the
 // device is new. Use it to register per-device handlers before a run.
 func (h *Hub) Session(id uint32) *Session {
-	if s := h.table.Load().lookup(id); s != nil {
+	if s, ok := h.Lookup(id); ok {
 		return s
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	// Re-check under the lock: another goroutine may have registered the
 	// device between our lookup and the lock.
-	cur := h.table.Load()
-	if s := cur.lookup(id); s != nil {
+	if s, ok := h.Lookup(id); ok {
 		return s
 	}
 	s := NewSession(id, h.keepLogs)
 	if h.metrics != nil {
 		s.attachMetrics(h.metrics)
 	}
-	next := &sessionTable{}
-	if id < denseLimit {
-		n := len(cur.dense)
-		for n <= int(id) {
-			if n == 0 {
-				n = 8
-			} else {
-				n *= 2
-			}
-		}
-		next.dense = make([]*Session, n)
-		copy(next.dense, cur.dense)
-		next.dense[id] = s
-		next.sparse = cur.sparse
-	} else {
-		next.dense = cur.dense
-		next.sparse = make(map[uint32]*Session, len(cur.sparse)+1)
-		for k, v := range cur.sparse {
-			next.sparse[k] = v
-		}
-		next.sparse[id] = s
+	if id >= denseLimit {
+		h.sparse.Store(id, s)
+		return s
 	}
-	h.table.Store(next)
-	h.order = append(h.order, id)
+	t := h.table.Load()
+	if id >= uint32(len(t.dense)) {
+		next := &sessionTable{dense: make([]atomic.Pointer[Session], max(8, 1<<bits.Len32(id)))}
+		copy(next.dense, t.dense) // slots are only written under h.mu, which we hold
+		h.table.Store(next)
+		t = next
+	}
+	t.dense[id].Store(s)
 	return s
 }
 
 // Lookup returns the session for a device id without creating one.
 func (h *Hub) Lookup(id uint32) (*Session, bool) {
-	s := h.table.Load().lookup(id)
-	return s, s != nil
+	if id < denseLimit {
+		s := h.table.Load().lookup(id)
+		return s, s != nil
+	}
+	v, ok := h.sparse.Load(id)
+	s, _ := v.(*Session)
+	return s, ok
 }
 
-// Devices returns the known device ids in registration order.
+// Devices returns the known device ids in ascending order.
 func (h *Hub) Devices() []uint32 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]uint32, len(h.order))
-	copy(out, h.order)
+	sessions := h.sessionsInOrder()
+	out := make([]uint32, len(sessions))
+	for i, s := range sessions {
+		out[i] = s.device
+	}
 	return out
 }
 
@@ -286,15 +289,12 @@ func (h *Hub) DeviceStats(id uint32) (HostStats, bool) {
 }
 
 // PerDeviceStats returns every device's counters keyed by id, with the ids
-// sorted ascending for stable reporting.
+// in ascending order for stable reporting.
 func (h *Hub) PerDeviceStats() ([]uint32, map[uint32]HostStats) {
 	ids := h.Devices()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := make(map[uint32]HostStats, len(ids))
 	for _, id := range ids {
-		if st, ok := h.DeviceStats(id); ok {
-			out[id] = st
-		}
+		out[id], _ = h.DeviceStats(id)
 	}
 	return ids, out
 }

@@ -106,7 +106,7 @@ func TestHubConcurrentHandleIsSafe(t *testing.T) {
 	h := NewHub(true)
 	const devices = 16
 	const framesPerDevice = 200
-	// Pre-register so Devices() order is deterministic, and pre-marshal
+	// Pre-register every device, and pre-marshal
 	// the frames on the test goroutine (t.Fatal is not goroutine-safe).
 	streams := make([][][]byte, devices)
 	for id := uint32(1); id <= devices; id++ {

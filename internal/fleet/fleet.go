@@ -227,8 +227,8 @@ func New(cfg Config) (*Runner, error) {
 		}
 		r.devices = append(r.devices, dev)
 		r.ids = append(r.ids, id)
-		// Pre-register so Devices() iterates in fleet order even for
-		// devices whose first frame arrives late.
+		// Pre-register the session so the tracer and ack loop below are
+		// wired before this device's first frame arrives.
 		sess := r.hub.Session(id)
 		if dev.Trace != nil {
 			// The hub session for this device is driven by this device's

@@ -560,18 +560,18 @@ func BenchmarkHubnetSaturate(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerWheel measures the timing-wheel scheduler's hot path:
-// schedule three events at firmware-tick distances and dispatch them. At
-// steady state the slab free list recycles every record; run with
-// -benchmem, the allocs/op column must read 0. The CI bench gate pins both
-// the latency and the zero-allocation contract.
-func BenchmarkSchedulerWheel(b *testing.B) {
+// BenchmarkScheduler measures the default scheduler's hot path: schedule
+// three events at firmware-tick distances and dispatch them. At steady
+// state the value-typed heap reuses its slots; run with -benchmem, the
+// allocs/op column must read 0. The CI bench gate pins both the latency and
+// the zero-allocation contract.
+func BenchmarkScheduler(b *testing.B) {
 	benchEventScheduler(b, sim.NewScheduler(sim.NewClock(0)))
 }
 
 // BenchmarkSchedulerHeap is the same workload on the container/heap
-// reference scheduler — the "before" of the wheel refactor, measured live
-// on the same machine (compare ns/op and allocs/op with SchedulerWheel).
+// reference scheduler, which allocates one event per schedule — measured
+// live on the same machine (compare ns/op and allocs/op with Scheduler).
 func BenchmarkSchedulerHeap(b *testing.B) {
 	benchEventScheduler(b, sim.NewHeapScheduler(sim.NewClock(0)))
 }

@@ -52,7 +52,7 @@ var commands = []struct {
 }{
 	{"study", "regenerate the paper's figures and experiments (the default)", runStudy},
 	{"fleet", "simulate full-fidelity devices against one hub", runFleetCmd},
-	{"scale", "sweep packed slab devices on the timing-wheel scale path", runScaleCmd},
+	{"scale", "sweep packed slab devices on the struct-of-arrays scale path", runScaleCmd},
 	{"serve", "run the networked hub: accept frame-ingest connections", runServeCmd},
 	{"saturate", "load generator: stream frames at a serve process", runSaturateCmd},
 }

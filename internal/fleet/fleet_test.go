@@ -159,11 +159,11 @@ func TestFleetWithPipeTransport(t *testing.T) {
 }
 
 // TestFleetWheelHeapIdentical is the fleet-level differential test: the same
-// seeded fleet run on the timing-wheel scheduler and on the heap reference
-// must produce byte-identical results — event streams, stats, cursors and
-// elapsed times. Together with the scheduler-level differential fuzz in
-// internal/sim this proves the wheel migration preserved per-seed
-// determinism end to end.
+// seeded fleet run on the default scheduler (once a timing wheel, hence the
+// name) and on the heap reference must produce byte-identical results —
+// event streams, stats, cursors and elapsed times. Together with the
+// scheduler-level differential fuzz in internal/sim this proves the default
+// scheduler preserves per-seed determinism end to end.
 func TestFleetWheelHeapIdentical(t *testing.T) {
 	run := func(mk func(*sim.Clock) sim.EventScheduler) ([]string, string) {
 		cfg := Config{Devices: 6, Seed: 23, Workers: 2, Reliable: true, Core: core.DefaultConfig()}
@@ -176,7 +176,7 @@ func TestFleetWheelHeapIdentical(t *testing.T) {
 		}
 		return keys, fmt.Sprintf("%+v", results)
 	}
-	wheelKeys, wheelRes := run(nil) // nil = default wheel
+	wheelKeys, wheelRes := run(nil) // nil = default sim.Scheduler
 	heapKeys, heapRes := run(func(c *sim.Clock) sim.EventScheduler { return sim.NewHeapScheduler(c) })
 	for i := range wheelKeys {
 		if wheelKeys[i] != heapKeys[i] {

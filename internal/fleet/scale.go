@@ -21,8 +21,9 @@ type ScaleConfig struct {
 	// (Seed, Devices), independent of Workers.
 	Seed uint64
 	// Workers is the number of stripes the slab is split into, one worker
-	// goroutine per stripe, each driving its own timing-wheel scheduler.
-	// <= 0 takes GOMAXPROCS.
+	// goroutine per stripe, each driving its own event scheduler.
+	// <= 0 takes GOMAXPROCS. Stripes are ceil(Devices/Workers) devices
+	// wide, so fewer stripes than asked for may run (ScaleResult.Workers).
 	Workers int
 	// Duration is the virtual time each device simulates (default 10 s).
 	Duration time.Duration
@@ -41,7 +42,7 @@ type ScaleConfig struct {
 	// the shards on every Snapshot into the canonical fw_*/rf_*/arq_*/
 	// hub_* names plus the sim_* engine gauges. The merged counters and
 	// histograms are deterministic and worker-count independent; the
-	// gauges describe the machine (wall-clock rates, wheel occupancy).
+	// gauges describe the machine (wall-clock rates).
 	// The collector stays registered after the run ends, so a post-run
 	// scrape reads the final totals.
 	Metrics *telemetry.Registry
@@ -77,6 +78,7 @@ type StripeSink struct {
 // ScaleResult is the outcome of one scale run.
 type ScaleResult struct {
 	Devices int
+	// Workers is the number of stripes that ran: no stripe is empty.
 	Workers int
 	// Ticks is the total number of firmware cycles executed.
 	Ticks uint64
@@ -117,23 +119,20 @@ type scaleShard struct {
 	pubTotals  core.SlabTotals
 	pubLat     telemetry.HistogramSnapshot
 	pubVirtual time.Duration
-	pubWheel   sim.WheelStats
 	pubElapsed float64
 }
 
 // publish copies the shard's live state into its published fields. Runs on
 // the worker goroutine between sweeps; cost is one stripe walk for totals
 // plus a histogram copy, amortised to noise by the coarse cadence.
-func (sh *scaleShard) publish(slab *core.StateSlab, sched *sim.Scheduler, at time.Duration, start time.Time) {
+func (sh *scaleShard) publish(slab *core.StateSlab, at time.Duration, start time.Time) {
 	totals := slab.Totals(sh.lo, sh.hi)
-	wheel := sched.Stats()
 	elapsed := time.Since(start).Seconds()
 	sh.mu.Lock()
 	sh.pubTicks = sh.ticks
 	sh.pubTotals = totals
 	sh.lat.SnapshotInto(&sh.pubLat)
 	sh.pubVirtual = at
-	sh.pubWheel = wheel
 	sh.pubElapsed = elapsed
 	sh.mu.Unlock()
 }
@@ -152,7 +151,6 @@ type scaleCollector struct {
 func (sc *scaleCollector) collect(s *telemetry.Snapshot) {
 	var ticks uint64
 	var totals core.SlabTotals
-	var wheel sim.WheelStats
 	minVirtual := time.Duration(-1)
 	var maxElapsed float64
 	for _, sh := range sc.shards {
@@ -176,9 +174,6 @@ func (sc *scaleCollector) collect(s *telemetry.Snapshot) {
 		if sh.pubElapsed > maxElapsed {
 			maxElapsed = sh.pubElapsed
 		}
-		wheel.Pending += sh.pubWheel.Pending
-		wheel.SlotsOccupied += sh.pubWheel.SlotsOccupied
-		wheel.Overflow += sh.pubWheel.Overflow
 		sh.mu.Unlock()
 	}
 	if minVirtual < 0 {
@@ -194,9 +189,6 @@ func (sc *scaleCollector) collect(s *telemetry.Snapshot) {
 	// simulated at least this far.
 	s.SetGauge(telemetry.MetricSimVirtualSeconds, minVirtual.Seconds())
 	s.SetGauge(telemetry.MetricSimFramesInFlight, float64(totals.Outstanding))
-	s.SetGauge(telemetry.MetricSimWheelPending, float64(wheel.Pending))
-	s.SetGauge(telemetry.MetricSimWheelOccupied, float64(wheel.SlotsOccupied))
-	s.SetGauge(telemetry.MetricSimWheelOverflow, float64(wheel.Overflow))
 	if maxElapsed > 0 {
 		tps := float64(ticks) / maxElapsed
 		s.SetGauge(telemetry.MetricSimTicksPerSec, tps)
@@ -205,11 +197,11 @@ func (sc *scaleCollector) collect(s *telemetry.Snapshot) {
 }
 
 // RunScale simulates a packed slab fleet: Workers stripes of contiguous
-// devices, each stripe driven by its own virtual clock and timing-wheel
-// scheduler whose single periodic event advances the whole stripe through
-// one firmware cycle per wheel turn. Construction is batched (one slab,
-// no per-device allocation) and the tick path allocates nothing, which is
-// what lets one box push a million devices faster than real time.
+// devices, each stripe driven by its own virtual clock and scheduler whose
+// single periodic event advances the whole stripe through one firmware
+// cycle per firing. Construction is batched (one slab, no per-device
+// allocation) and the tick path allocates nothing, which is what lets one
+// box push a million devices faster than real time.
 //
 // With cfg.Metrics set the run is live-observable: scraping the registry
 // mid-run (see internal/ops) reads each stripe's most recently published
@@ -228,9 +220,6 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Devices {
-		workers = cfg.Devices
-	}
 
 	slab, err := core.NewStateSlab(core.SlabConfig{
 		Devices:  cfg.Devices,
@@ -242,9 +231,13 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		return ScaleResult{}, err
 	}
 
+	// Rounding the stripe width up can leave trailing workers no devices
+	// (5 devices on 4 workers: stripes of 2, 2 and 1, and a fourth that
+	// would start past the end); run only the stripes that hold devices.
+	stripe := (cfg.Devices + workers - 1) / workers
+	workers = (cfg.Devices + stripe - 1) / stripe
 	res := ScaleResult{Devices: cfg.Devices, Workers: workers}
 	ticksPerDevice := uint64(cfg.Duration / cfg.SamplePeriod)
-	stripe := (cfg.Devices + workers - 1) / workers
 
 	// publishSweeps spaces shard publishes about one second of virtual
 	// time apart: frequent enough for a 1 Hz scrape to see motion, coarse
@@ -289,9 +282,9 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 		}
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			// One wheel turn = one stripe sweep: the scheduler carries a
-			// single periodic event, so its hot path stays allocation-free
-			// and the per-tick cost is the linear walk over the stripe.
+			// One firing = one stripe sweep: the scheduler carries a single
+			// periodic event, so its hot path stays allocation-free and the
+			// per-tick cost is the linear walk over the stripe.
 			clock := sim.NewClock(0)
 			sched := sim.NewScheduler(clock)
 			var sink *StripeSink
@@ -325,13 +318,13 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 					sh.ticks += uint64(hi - lo)
 					sh.sweeps++
 					if sh.sweeps%publishSweeps == 0 {
-						sh.publish(slab, sched, at, start)
+						sh.publish(slab, at, start)
 					}
 				})
 				errs[w] = sched.Run(cfg.Duration)
 				// Final publish so post-run scrapes read the complete
 				// stripe, whatever the cadence remainder was.
-				sh.publish(slab, sched, cfg.Duration, start)
+				sh.publish(slab, cfg.Duration, start)
 			} else {
 				sched.Every(cfg.SamplePeriod, func(at time.Duration) {
 					if sink != nil {

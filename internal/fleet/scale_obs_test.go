@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // contract of the live ops plane: the merged counters and histograms of a
 // scale run are a pure function of (Seed, Devices), no matter how many
 // stripes the slab was split into. Gauges are excluded — they describe
-// wall-clock rates and scheduler occupancy, not the model.
+// wall-clock rates and progress, not the model.
 func TestScaleMergedMetricsWorkerCountIndependent(t *testing.T) {
 	base := ScaleConfig{Devices: 300, Seed: 7, Duration: 2 * time.Second, LossProb: 0.1}
 	var refCounters map[string]uint64
@@ -51,59 +52,76 @@ func TestScaleMergedMetricsWorkerCountIndependent(t *testing.T) {
 
 // TestScaleMergedMetricsMatchResult cross-checks the collector against the
 // run's own totals: the canonical counters must agree with ScaleResult and
-// the latency histogram must hold one observation per sent frame.
+// the latency histogram must hold one observation per sent frame. The
+// uneven splits round the stripe width up past the last device (5 devices
+// on 4 workers is stripes of 2, 2 and 1), which must neither run an empty
+// stripe nor miscount its cycles.
 func TestScaleMergedMetricsMatchResult(t *testing.T) {
-	reg := telemetry.New()
-	res, err := RunScale(ScaleConfig{
-		Devices: 200, Seed: 3, Workers: 2, Duration: 2 * time.Second,
-		LossProb: 0.2, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	want := map[string]uint64{
-		telemetry.MetricFwCycles:         res.Ticks,
-		telemetry.MetricFwScrollEvents:   res.Switches,
-		telemetry.MetricFwFramesSent:     res.Frames,
-		telemetry.MetricRFSent:           res.Frames + res.Retransmits,
-		telemetry.MetricRFLost:           res.Lost,
-		telemetry.MetricRFDelivered:      res.Delivered,
-		telemetry.MetricARQEnqueued:      res.Frames,
-		telemetry.MetricARQAcked:         res.Delivered,
-		telemetry.MetricARQRetransmits:   res.Retransmits,
-		telemetry.MetricHubDecoded:       res.Delivered,
-		telemetry.MetricHubEvents:        res.Delivered,
-		telemetry.MetricFwIslandSwitches: res.Switches,
-	}
-	for name, v := range want {
-		if got := snap.Counters[name]; got != v {
-			t.Errorf("%s = %d, want %d", name, got, v)
-		}
-	}
-	h, ok := snap.Histogram(telemetry.MetricHubE2ELatency)
-	if !ok {
-		t.Fatal("no e2e latency histogram in merged snapshot")
-	}
-	if h.Count != res.Frames {
-		t.Fatalf("latency observations %d, want one per sent frame (%d)", h.Count, res.Frames)
-	}
-	if h.P99 <= 0 || h.Sum <= 0 {
-		t.Fatalf("degenerate latency histogram: %+v", h)
-	}
-	for _, g := range []string{
-		telemetry.MetricSimDevices, telemetry.MetricSimWorkers,
-		telemetry.MetricSimVirtualSeconds, telemetry.MetricSimFramesInFlight,
+	for _, tc := range []struct{ devices, workers, stripes int }{
+		{200, 2, 2},
+		{5, 4, 3},
+		{9, 6, 5},
 	} {
-		if _, ok := snap.Gauges[g]; !ok {
-			t.Errorf("gauge %s missing from merged snapshot", g)
-		}
-	}
-	if got := snap.Gauges[telemetry.MetricSimDevices]; got != 200 {
-		t.Errorf("sim_devices = %g, want 200", got)
-	}
-	if got := snap.Gauges[telemetry.MetricSimVirtualSeconds]; got != 2 {
-		t.Errorf("sim_virtual_seconds = %g, want 2 after the run", got)
+		t.Run(fmt.Sprintf("devices=%d,workers=%d", tc.devices, tc.workers), func(t *testing.T) {
+			reg := telemetry.New()
+			res, err := RunScale(ScaleConfig{
+				Devices: tc.devices, Seed: 3, Workers: tc.workers, Duration: 2 * time.Second,
+				LossProb: 0.2, Metrics: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Workers != tc.stripes {
+				t.Errorf("ScaleResult.Workers = %d, want the %d stripes that hold devices", res.Workers, tc.stripes)
+			}
+			snap := reg.Snapshot()
+			want := map[string]uint64{
+				telemetry.MetricFwCycles:         res.Ticks,
+				telemetry.MetricFwScrollEvents:   res.Switches,
+				telemetry.MetricFwFramesSent:     res.Frames,
+				telemetry.MetricRFSent:           res.Frames + res.Retransmits,
+				telemetry.MetricRFLost:           res.Lost,
+				telemetry.MetricRFDelivered:      res.Delivered,
+				telemetry.MetricARQEnqueued:      res.Frames,
+				telemetry.MetricARQAcked:         res.Delivered,
+				telemetry.MetricARQRetransmits:   res.Retransmits,
+				telemetry.MetricHubDecoded:       res.Delivered,
+				telemetry.MetricHubEvents:        res.Delivered,
+				telemetry.MetricFwIslandSwitches: res.Switches,
+			}
+			for name, v := range want {
+				if got := snap.Counters[name]; got != v {
+					t.Errorf("%s = %d, want %d", name, got, v)
+				}
+			}
+			h, ok := snap.Histogram(telemetry.MetricHubE2ELatency)
+			if !ok {
+				t.Fatal("no e2e latency histogram in merged snapshot")
+			}
+			if h.Count != res.Frames {
+				t.Fatalf("latency observations %d, want one per sent frame (%d)", h.Count, res.Frames)
+			}
+			if h.P99 <= 0 || h.Sum <= 0 {
+				t.Fatalf("degenerate latency histogram: %+v", h)
+			}
+			for _, g := range []string{
+				telemetry.MetricSimDevices, telemetry.MetricSimWorkers,
+				telemetry.MetricSimVirtualSeconds, telemetry.MetricSimFramesInFlight,
+			} {
+				if _, ok := snap.Gauges[g]; !ok {
+					t.Errorf("gauge %s missing from merged snapshot", g)
+				}
+			}
+			if got := snap.Gauges[telemetry.MetricSimDevices]; got != float64(tc.devices) {
+				t.Errorf("sim_devices = %g, want %d", got, tc.devices)
+			}
+			if got := snap.Gauges[telemetry.MetricSimWorkers]; got != float64(tc.stripes) {
+				t.Errorf("sim_workers = %g, want %d", got, tc.stripes)
+			}
+			if got := snap.Gauges[telemetry.MetricSimVirtualSeconds]; got != 2 {
+				t.Errorf("sim_virtual_seconds = %g, want 2 after the run", got)
+			}
+		})
 	}
 }
 

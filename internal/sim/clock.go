@@ -7,8 +7,8 @@
 // its seed.
 //
 // Two scheduler implementations share one contract (EventScheduler): the
-// default Scheduler is a hierarchical timing wheel with slab-allocated event
-// storage (no per-event allocation, no comparison heap on the hot path), and
+// default Scheduler is a binary min-heap of events stored by value (no
+// per-event allocation once the queue has grown to its working set), and
 // HeapScheduler is the original container/heap implementation kept as the
 // executable reference semantics. A differential test drives both with the
 // same schedules and requires identical event order, so per-seed determinism
@@ -55,8 +55,8 @@ func (c *Clock) Set(t time.Duration) {
 
 // EventScheduler is the contract both scheduler implementations satisfy.
 // Every caller in the repository (firmware tick, ARQ retransmit timers, link
-// delivery, fleet scripts) programs against this interface, so the wheel and
-// the heap are interchangeable — and differentially testable.
+// delivery, fleet scripts) programs against this interface, so the two
+// implementations are interchangeable — and differentially testable.
 //
 // Semantics all implementations must share:
 //

@@ -1,221 +1,61 @@
 package sim
 
-import (
-	"math"
-	"math/bits"
-	"time"
-)
+import "time"
 
-// The timing-wheel Scheduler replaces the comparison heap on the simulation
-// hot path. Motivation: a fleet device fires an event every few virtual
-// milliseconds for the whole run (firmware tick, link delivery, ARQ timers),
-// and the heap costs one allocation plus O(log n) pointer-chasing
-// comparisons per event. The wheel stores events as values in one reusable
-// slab (free-list reuse, no per-event allocation) and finds the next event
-// with bitmap scans, so scheduling and dispatch are allocation-free O(1)
-// amortized.
-//
-// Layout: wheelLevels hierarchical levels of wheelSlots slots each, at 1 ns
-// tick granularity. Level k spans 2^(8(k+1)) ns: level 0 resolves single
-// nanoseconds across a 256 ns aligned block, level 3 slots span ~16.8 ms
-// across a ~4.3 s aligned block. Events beyond the level-3 block go to an
-// overflow list and are repatriated when the wheel crosses into their block.
-//
-// Exactness (the determinism argument, see DESIGN.md §11): slots are
-// aligned blocks of the event time's bit pattern, not offsets from "now", so
-// an event's slot never depends on when it was inserted. The wheel advances
-// only to event times (or the Run horizon), cascading exactly the slots that
-// become current; therefore every event is executed at its exact nanosecond,
-// and equal-time events preserve insertion order because
-//
-//   - slot lists are appended in schedule order,
-//   - a cascade rewrites a whole slot in list order, and
-//   - a slot only receives direct inserts after any cascade into it (a
-//     cascade happens when the wheel first enters a block; direct inserts
-//     into that block are only possible afterwards).
-//
-// The heap scheduler remains as the executable reference semantics and the
-// differential tests in this package require identical event order.
-const (
-	wheelBits   = 8
-	wheelSlots  = 1 << wheelBits // 256 slots per level
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 4
-	wheelWords  = wheelSlots / 64 // occupancy bitmap words per level
-)
-
-// noEvent marks an empty slot list / free-list end.
-const noEvent int32 = -1
-
-// wheelEvent is one scheduled callback stored by value in the slab.
-type wheelEvent struct {
-	at   int64 // absolute virtual nanoseconds
-	next int32 // slab index of the next event in the same list
-	fn   func(at time.Duration)
+// event is one scheduled callback, stored by value in the Scheduler's heap.
+type event struct {
+	at  time.Duration
+	seq uint64 // schedule order: equal-time events fire FIFO
+	fn  func(at time.Duration)
 }
 
-// wheelLevel is one resolution level: slot lists with an occupancy bitmap
-// and, per slot, the minimum event time (needed for exact peeks at coarse
-// levels, where a slot spans more than one nanosecond).
-type wheelLevel struct {
-	head [wheelSlots]int32
-	tail [wheelSlots]int32
-	min  [wheelSlots]int64
-	bits [wheelWords]uint64
+// before orders events by (time, schedule order).
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-// Scheduler executes events in virtual-time order on a shared Clock using a
-// hierarchical timing wheel. It is the default scheduler implementation; see
-// HeapScheduler for the reference semantics. It is single-threaded by
-// design: callbacks run on the caller's goroutine.
+// Scheduler executes events in virtual-time order on a shared Clock: the
+// default implementation, with HeapScheduler as the reference semantics. It
+// keeps events by value in one binary min-heap slice with hand-written sifts
+// (container/heap would box every push into an interface), so once the slice
+// has grown to the working set nothing allocates. A fleet device holds under
+// ten pending events: a sift is about three levels, the queue a few hundred
+// bytes. Single-threaded by design: callbacks run on the caller's goroutine.
 type Scheduler struct {
-	clock *Clock
-	slab  []wheelEvent
-	free  int32 // free-list head into slab
-
-	levels [wheelLevels]wheelLevel
-	pos    int64 // wheel position: last advanced-to virtual nanosecond
-
-	// overflow holds events beyond the level-3 block as a FIFO list in the
-	// slab; ovMin is the exact minimum time in the list and ovCount its
-	// length (maintained incrementally so Stats never walks the list).
-	ovHead, ovTail int32
-	ovMin          int64
-	ovCount        int
-
-	pending int
+	clock   *Clock
+	queue   []event
+	nextSeq uint64
 	stopped bool
 }
 
-// WheelStats is a point-in-time occupancy view of a timing-wheel scheduler —
-// the live gauge source for the ops plane (sim_wheel_* metrics).
-type WheelStats struct {
-	// Pending is the number of queued events (all levels plus overflow).
-	Pending int
-	// SlotsOccupied counts non-empty slots across every level.
-	SlotsOccupied int
-	// Overflow is the number of events parked beyond the level-3 block.
-	Overflow int
-	// SlabCap is the event slab capacity (high-water mark of simultaneously
-	// scheduled events since construction).
-	SlabCap int
-}
-
-// Stats reports the wheel's occupancy. Cost is a popcount over the level
-// bitmaps (16 words); safe only from the goroutine driving the scheduler,
-// like every other method.
-func (s *Scheduler) Stats() WheelStats {
-	st := WheelStats{Pending: s.pending, Overflow: s.ovCount, SlabCap: len(s.slab)}
-	for l := range s.levels {
-		for _, w := range s.levels[l].bits {
-			st.SlotsOccupied += bits.OnesCount64(w)
-		}
-	}
-	return st
-}
-
-// NewScheduler returns a timing-wheel scheduler driving the given clock.
+// NewScheduler returns a scheduler driving the given clock.
 func NewScheduler(clock *Clock) *Scheduler {
-	s := &Scheduler{
-		clock:  clock,
-		free:   noEvent,
-		ovHead: noEvent,
-		ovTail: noEvent,
-		ovMin:  math.MaxInt64,
-		pos:    int64(clock.Now()),
-	}
-	for l := range s.levels {
-		for i := range s.levels[l].head {
-			s.levels[l].head[i] = noEvent
-			s.levels[l].tail[i] = noEvent
-		}
-	}
-	return s
+	return &Scheduler{clock: clock}
 }
 
 // Clock returns the scheduler's clock.
 func (s *Scheduler) Clock() *Clock { return s.clock }
 
-// alloc takes an event record from the free list, growing the slab only
-// when the free list is empty (steady state reuses records: 0 allocs/op).
-func (s *Scheduler) alloc(at int64, fn func(at time.Duration)) int32 {
-	idx := s.free
-	if idx != noEvent {
-		s.free = s.slab[idx].next
-	} else {
-		s.slab = append(s.slab, wheelEvent{})
-		idx = int32(len(s.slab) - 1)
-	}
-	e := &s.slab[idx]
-	e.at = at
-	e.fn = fn
-	e.next = noEvent
-	return idx
-}
-
-// release returns a record to the free list, dropping the callback
-// reference so the closure can be collected.
-func (s *Scheduler) release(idx int32) {
-	e := &s.slab[idx]
-	e.fn = nil
-	e.next = s.free
-	s.free = idx
-}
-
-// insert places a slab event into the level whose current aligned block
-// contains its time, or into the overflow list. Appending keeps schedule
-// order within every list.
-func (s *Scheduler) insert(idx int32) {
-	t := s.slab[idx].at
-	diff := uint64(t) ^ uint64(s.pos)
-	var level uint
-	switch {
-	case diff>>wheelBits == 0:
-		level = 0
-	case diff>>(2*wheelBits) == 0:
-		level = 1
-	case diff>>(3*wheelBits) == 0:
-		level = 2
-	case diff>>(4*wheelBits) == 0:
-		level = 3
-	default:
-		// Beyond the level-3 block: overflow, repatriated when the wheel
-		// crosses into the event's block.
-		if s.ovTail == noEvent {
-			s.ovHead = idx
-		} else {
-			s.slab[s.ovTail].next = idx
-		}
-		s.ovTail = idx
-		s.ovCount++
-		if t < s.ovMin {
-			s.ovMin = t
-		}
-		return
-	}
-	slot := (uint64(t) >> (level * wheelBits)) & wheelMask
-	lv := &s.levels[level]
-	if lv.tail[slot] == noEvent {
-		lv.head[slot] = idx
-		lv.min[slot] = t
-		lv.bits[slot>>6] |= 1 << (slot & 63)
-	} else {
-		s.slab[lv.tail[slot]].next = idx
-		if t < lv.min[slot] {
-			lv.min[slot] = t
-		}
-	}
-	lv.tail[slot] = idx
-}
-
 // At schedules fn to run at absolute virtual time t. Events scheduled in the
 // past run at the current time.
 func (s *Scheduler) At(t time.Duration, fn func(at time.Duration)) {
-	if t < s.clock.Now() {
-		t = s.clock.Now()
+	if now := s.clock.Now(); t < now {
+		t = now
 	}
-	s.insert(s.alloc(int64(t), fn))
-	s.pending++
+	e := event{at: t, seq: s.nextSeq, fn: fn}
+	s.nextSeq++
+	s.queue = append(s.queue, e)
+	q := s.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -248,127 +88,38 @@ func (s *Scheduler) Every(period time.Duration, fn func(at time.Duration)) (canc
 }
 
 // Pending reports the number of queued events.
-func (s *Scheduler) Pending() int { return s.pending }
+func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // Stop aborts a Run in progress (from inside a callback).
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// peek returns the exact time of the earliest pending event. Levels are
-// strictly time-layered (level k holds only events outside the current
-// level-(k-1) block but inside the current level-k block; overflow holds
-// only events beyond level 3), so the first non-empty level owns the
-// minimum, and within a level slots never wrap: the lowest set bit is the
-// earliest slot.
-func (s *Scheduler) peek() (int64, bool) {
-	if s.pending == 0 {
-		return 0, false
-	}
-	for level := 0; level < wheelLevels; level++ {
-		lv := &s.levels[level]
-		for w := 0; w < wheelWords; w++ {
-			if lv.bits[w] == 0 {
-				continue
-			}
-			slot := w<<6 + bits.TrailingZeros64(lv.bits[w])
-			if level == 0 {
-				// A level-0 slot resolves a single nanosecond inside the
-				// current 256 ns block.
-				return s.pos&^int64(wheelMask) | int64(slot), true
-			}
-			return lv.min[slot], true
-		}
-	}
-	return s.ovMin, true
-}
-
-// cascadeSlot re-distributes one slot into finer levels after the wheel
-// entered its block. Re-insertion preserves list order, which preserves
-// schedule order among equal-time events.
-func (s *Scheduler) cascadeSlot(level uint, slot uint64) {
-	lv := &s.levels[level]
-	idx := lv.head[slot]
-	if idx == noEvent {
-		return
-	}
-	lv.head[slot] = noEvent
-	lv.tail[slot] = noEvent
-	lv.bits[slot>>6] &^= 1 << (slot & 63)
-	for idx != noEvent {
-		next := s.slab[idx].next
-		s.slab[idx].next = noEvent
-		s.insert(idx)
-		idx = next
-	}
-}
-
-// repatriate re-inserts overflow events after the wheel crossed into a new
-// level-3 block; events still beyond it re-enter the overflow in order.
-func (s *Scheduler) repatriate() {
-	idx := s.ovHead
-	s.ovHead = noEvent
-	s.ovTail = noEvent
-	s.ovMin = math.MaxInt64
-	s.ovCount = 0
-	for idx != noEvent {
-		next := s.slab[idx].next
-		s.slab[idx].next = noEvent
-		s.insert(idx)
-		idx = next
-	}
-}
-
-// advance moves the wheel position to time t (which must not be beyond the
-// next pending event), cascading exactly the slots that become current so
-// the level layering invariant holds for subsequent inserts and peeks.
-func (s *Scheduler) advance(t int64) {
-	old := s.pos
-	if t <= old {
-		return
-	}
-	s.pos = t
-	if old>>(4*wheelBits) != t>>(4*wheelBits) {
-		// Crossing a level-3 block: the levels are necessarily empty (they
-		// only ever hold events inside the old block, which all lie before
-		// t), so only the overflow needs to move.
-		s.repatriate()
-		return
-	}
-	if old>>(3*wheelBits) != t>>(3*wheelBits) {
-		s.cascadeSlot(3, (uint64(t)>>(3*wheelBits))&wheelMask)
-	}
-	if old>>(2*wheelBits) != t>>(2*wheelBits) {
-		s.cascadeSlot(2, (uint64(t)>>(2*wheelBits))&wheelMask)
-	}
-	if old>>wheelBits != t>>wheelBits {
-		s.cascadeSlot(1, (uint64(t)>>wheelBits)&wheelMask)
-	}
-}
-
 // Step executes the next queued event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (s *Scheduler) Step() bool {
-	t, ok := s.peek()
-	if !ok {
+	n := len(s.queue) - 1
+	if n < 0 {
 		return false
 	}
-	s.advance(t)
-	// After advancing to t, the earliest event sits in the level-0 slot for
-	// t's nanosecond; equal-time events queue behind it in schedule order.
-	slot := uint64(t) & wheelMask
-	lv := &s.levels[0]
-	idx := lv.head[slot]
-	if next := s.slab[idx].next; next != noEvent {
-		lv.head[slot] = next
-	} else {
-		lv.head[slot] = noEvent
-		lv.tail[slot] = noEvent
-		lv.bits[slot>>6] &^= 1 << (slot & 63)
+	q := s.queue
+	next, last := q[0], q[n]
+	// Sift the former tail down from the root over the first n slots, then
+	// zero slot n so the spare capacity holds no closure references.
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
 	}
-	fn := s.slab[idx].fn
-	s.release(idx)
-	s.pending--
-	s.clock.Set(time.Duration(t))
-	fn(time.Duration(t))
+	q[i] = last
+	q[n] = event{}
+	s.queue = q[:n]
+	s.clock.Set(next.at)
+	next.fn(next.at)
 	return true
 }
 
@@ -379,22 +130,18 @@ func (s *Scheduler) Step() bool {
 // leaving the clock at the stopping event's time.
 func (s *Scheduler) Run(horizon time.Duration) error {
 	s.stopped = false
-	for s.pending > 0 {
+	for len(s.queue) > 0 {
 		if s.stopped {
 			return ErrStopped
 		}
-		t, _ := s.peek()
-		if t > int64(horizon) {
-			s.advance(int64(horizon))
-			s.clock.Set(horizon)
-			return nil
+		if s.queue[0].at > horizon {
+			break
 		}
 		s.Step()
 	}
 	if s.stopped {
 		return ErrStopped
 	}
-	s.advance(int64(horizon))
 	s.clock.Set(horizon)
 	return nil
 }

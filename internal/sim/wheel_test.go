@@ -2,31 +2,32 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
 
-// TestSchedulerDifferential drives the wheel and the heap reference with
+// TestSchedulerDifferential drives the Scheduler and the heap reference with
 // identical randomized schedules — bursts of equal times, nested scheduling
-// from callbacks, periodic timers with cancellation, far-future overflow
-// events, and staged Run horizons — and requires the exact same event
-// sequence (time and identity) from both. This is the proof that swapping the
-// heap for the wheel preserves per-seed determinism.
+// from callbacks, periodic timers with cancellation, far-future events,
+// thousands-deep queues, and staged Run horizons — and requires the exact
+// same event sequence (time and identity) from both. This is the proof that
+// the default scheduler preserves the reference's per-seed determinism.
 func TestSchedulerDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			wheelTrace := differentialTrace(NewScheduler(NewClock(0)), seed)
+			schedTrace := differentialTrace(NewScheduler(NewClock(0)), seed)
 			heapTrace := differentialTrace(NewHeapScheduler(NewClock(0)), seed)
-			if len(wheelTrace) != len(heapTrace) {
-				t.Fatalf("trace lengths differ: wheel %d, heap %d", len(wheelTrace), len(heapTrace))
+			if len(schedTrace) != len(heapTrace) {
+				t.Fatalf("trace lengths differ: scheduler %d, heap %d", len(schedTrace), len(heapTrace))
 			}
-			for i := range wheelTrace {
-				if wheelTrace[i] != heapTrace[i] {
-					t.Fatalf("traces diverge at %d: wheel %q, heap %q", i, wheelTrace[i], heapTrace[i])
+			for i := range schedTrace {
+				if schedTrace[i] != heapTrace[i] {
+					t.Fatalf("traces diverge at %d: scheduler %q, heap %q", i, schedTrace[i], heapTrace[i])
 				}
 			}
-			if len(wheelTrace) == 0 {
+			if len(schedTrace) == 0 {
 				t.Fatal("empty trace: the differential test exercised nothing")
 			}
 		})
@@ -49,17 +50,31 @@ func differentialTrace(s EventScheduler, seed uint64) []string {
 	id := func() int { nextID++; return nextID }
 
 	// randomAt picks times clustered enough to force equal-time collisions
-	// and spread enough to cross wheel levels and the overflow list.
+	// and spread from nanoseconds to tens of seconds ahead.
 	randomAt := func(now time.Duration) time.Duration {
 		switch rng.Intn(4) {
-		case 0: // same-slot cluster: collisions at the current millisecond
+		case 0: // cluster: collisions at the current millisecond
 			return now + time.Duration(rng.Intn(4))*time.Millisecond
-		case 1: // near future, level 0-2 territory
+		case 1: // near future
 			return now + time.Duration(rng.Intn(2_000_000))
-		case 2: // mid future, level 3 territory
+		case 2: // mid future
 			return now + time.Duration(rng.Intn(4_000_000_000))
-		default: // far future: overflow list
+		default: // far future, beyond most Run horizons
 			return now + time.Duration(4_000_000_000+rng.Intn(30_000_000_000))
+		}
+	}
+
+	// Every fourth seed queues a burst of thousands of events before the
+	// first Run. A fleet device never holds more than a handful, so without
+	// it the sift paths below the top few heap levels would go untested.
+	// Runs of equal times and far-future times are mixed in.
+	if seed%4 == 0 {
+		for n := 0; n < 4096; {
+			at := randomAt(s.Clock().Now())
+			for k := 1 + rng.Intn(8); k > 0; k-- {
+				s.At(at, note(id()))
+				n++
+			}
 		}
 	}
 
@@ -117,14 +132,14 @@ func differentialTrace(s EventScheduler, seed uint64) []string {
 	return trace
 }
 
-// TestSchedulerZeroAlloc pins the allocation-free contract of the wheel hot
-// path: once the slab has grown to the schedule's working set, At + Step
-// recycle event records through the free list and allocate nothing.
+// TestSchedulerZeroAlloc pins the allocation-free contract of the scheduler
+// hot path: once the queue has grown to the schedule's working set, At +
+// Step reuse its slots and allocate nothing.
 func TestSchedulerZeroAlloc(t *testing.T) {
 	clock := NewClock(0)
 	s := NewScheduler(clock)
 	fn := func(time.Duration) {}
-	// Warm the slab beyond the steady-state working set.
+	// Warm the queue beyond the steady-state working set.
 	for i := 0; i < 64; i++ {
 		s.After(time.Duration(i)*time.Microsecond, fn)
 	}
@@ -144,20 +159,50 @@ func TestSchedulerZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSchedulerSlabReuse checks the free list actually recycles records: a
-// sustained periodic load must not grow the slab beyond its working set.
+// TestSchedulerSlabReuse checks the queue actually recycles its slots: a
+// sustained periodic load must not grow it beyond its working set.
 func TestSchedulerSlabReuse(t *testing.T) {
 	s := NewScheduler(NewClock(0))
 	s.Every(time.Millisecond, func(time.Duration) {})
 	if err := s.Run(50 * time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	grown := len(s.slab)
+	grown := cap(s.queue)
 	if err := s.Run(5 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(s.slab) != grown {
-		t.Fatalf("slab grew from %d to %d under steady periodic load", grown, len(s.slab))
+	if cap(s.queue) != grown {
+		t.Fatalf("queue grew from cap %d to %d under steady periodic load", grown, cap(s.queue))
+	}
+}
+
+// TestSchedulerFootprint bounds what a scheduler costs each fleet device:
+// 1,024 schedulers each run a fleet-shaped working set (16 events
+// scheduled, then drained), and the bytes allocated per scheduler —
+// construction included — must stay within 1 KiB.
+func TestSchedulerFootprint(t *testing.T) {
+	const n, events = 1024, 16
+	fn := func(time.Duration) {}
+	// Keeping every scheduler makes it escape to the heap, as a device's
+	// does, so construction is counted too.
+	keep := make([]*Scheduler, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		s := NewScheduler(NewClock(0))
+		for k := 0; k < events; k++ {
+			s.After(time.Duration(k%4)*time.Millisecond, fn)
+		}
+		for s.Step() {
+		}
+		keep[i] = s
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d B allocated per scheduler", per)
+	if per > 1024 {
+		t.Fatalf("each scheduler allocated %d B for a %d-event working set, want <= 1024", per, events)
 	}
 }
 
@@ -175,7 +220,7 @@ func benchScheduler(b *testing.B, s EventScheduler) {
 	}
 }
 
-func BenchmarkSchedulerWheel(b *testing.B) {
+func BenchmarkScheduler(b *testing.B) {
 	benchScheduler(b, NewScheduler(NewClock(0)))
 }
 

@@ -79,16 +79,13 @@ const (
 	// Simulation-engine gauges for the struct-of-arrays scale path
 	// (fleet.RunScale): the live view of a run in flight. Counters above are
 	// deterministic per seed; these gauges involve wall-clock rates and
-	// scheduler occupancy, so they describe the machine, not the model.
+	// progress, so they describe the machine, not the model.
 	MetricSimDevices        = "sim_devices"
 	MetricSimWorkers        = "sim_workers"
 	MetricSimVirtualSeconds = "sim_virtual_seconds"
 	MetricSimTicksPerSec    = "sim_ticks_per_second"
 	MetricSimDevSecPerSec   = "sim_device_seconds_per_second"
 	MetricSimFramesInFlight = "sim_frames_in_flight"
-	MetricSimWheelPending   = "sim_wheel_pending_events"
-	MetricSimWheelOccupied  = "sim_wheel_slots_occupied"
-	MetricSimWheelOverflow  = "sim_wheel_overflow_events"
 
 	// Networked hub gateway counters (internal/hubnet): the TCP/loopback
 	// ingest edge in front of the sharded hubs. Bytes/frames/resyncs count

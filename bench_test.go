@@ -403,6 +403,61 @@ func BenchmarkLinkRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkARQRoundTrip is the reliable sender at steady state: one
+// sequenced payload through rf.ARQ over an ideal forward Link, a receiver
+// that answers with a cumulative ack over an ideal ack Link, and the ack
+// sliding the window. Frames come back through the ARQ's free list and
+// every retransmit timer schedules one pre-bound callback, so with
+// -benchmem the allocs/op column must read 0.
+func BenchmarkARQRoundTrip(b *testing.B) {
+	sched := sim.NewScheduler(sim.NewClock(0))
+	var ackLink *rf.Link
+	delivered := 0
+	fwd, err := rf.NewLink(rf.LinkConfig{Latency: 2 * time.Millisecond}, sched, nil,
+		func(p []byte, _ time.Duration) {
+			var m rf.Message
+			if m.Decode(p) {
+				delivered++
+				ackLink.SendAck(m.Device, m.Seq)
+			}
+		})
+	if err != nil {
+		b.Fatal(err)
+	}
+	arq, err := rf.NewARQ(rf.ARQConfig{}, sched, nil, fwd)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if ackLink, err = rf.NewLink(rf.LinkConfig{Latency: 2 * time.Millisecond}, sched, nil, arq.HandleAck); err != nil {
+		b.Fatal(err)
+	}
+	msg := rf.Message{Device: 9, Kind: rf.MsgScroll, AtMillis: 1234, Index: 3}
+	payload := make([]byte, 0, 64)
+	roundTrip := func(seq uint16) {
+		msg.Seq = seq
+		payload = msg.AppendBinary(payload[:0])
+		if _, err := arq.SendTagged(payload, rf.PayloadV1); err != nil {
+			b.Fatal(err)
+		}
+		if err := sched.Run(sched.Clock().Now() + 10*time.Millisecond); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // warm the free list, the links and the heap
+		roundTrip(uint16(i))
+	}
+	delivered = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip(uint16(100 + i))
+	}
+	b.StopTimer()
+	if delivered != b.N || arq.Outstanding() != 0 {
+		b.Fatalf("delivered %d of %d frames, %d outstanding", delivered, b.N, arq.Outstanding())
+	}
+}
+
 // BenchmarkFrameRoundTrip is the zero-allocation pipeline end to end:
 // marshal a telemetry message into a reusable payload buffer
 // (Message.AppendBinary), frame it into a reusable frame buffer

@@ -109,23 +109,24 @@ const DefaultDebounce = 20 * time.Millisecond
 type Pad struct {
 	layout   Layout
 	debounce time.Duration
+	// keys holds each button's state in layout order.
+	keys []key
+}
 
-	raw      map[ID]bool          // electrical level set by the environment
-	stable   map[ID]bool          // debounced level
-	lastEdge map[ID]time.Duration // time of last raw edge
-	queue    []Event
+// key is the debounce state of one button.
+type key struct {
+	raw      bool          // electrical level set by the environment
+	stable   bool          // debounced level
+	lastEdge time.Duration // time of last raw edge
 }
 
 // NewPad returns a pad for the given layout with the default debounce.
 func NewPad(layout Layout) *Pad {
-	p := &Pad{
+	return &Pad{
 		layout:   layout,
 		debounce: DefaultDebounce,
-		raw:      make(map[ID]bool, len(layout.Buttons)),
-		stable:   make(map[ID]bool, len(layout.Buttons)),
-		lastEdge: make(map[ID]time.Duration, len(layout.Buttons)),
+		keys:     make([]key, len(layout.Buttons)),
 	}
-	return p
 }
 
 // SetDebounce overrides the debounce interval.
@@ -139,24 +140,25 @@ func (p *Pad) SetDebounce(d time.Duration) {
 func (p *Pad) Layout() Layout { return p.layout }
 
 // Has reports whether the layout contains the button.
-func (p *Pad) Has(id ID) bool {
-	for _, b := range p.layout.Buttons {
+func (p *Pad) Has(id ID) bool { return p.key(id) != nil }
+
+// key returns the state of a button, or nil when the layout lacks it.
+func (p *Pad) key(id ID) *key {
+	for i, b := range p.layout.Buttons {
 		if b == id {
-			return true
+			return &p.keys[i]
 		}
 	}
-	return false
+	return nil
 }
 
 // Set drives the electrical level of a button (true = pressed) at the given
 // time. Unknown buttons are ignored, matching a wire to nowhere.
 func (p *Pad) Set(id ID, pressed bool, at time.Duration) {
-	if !p.Has(id) {
-		return
-	}
-	if p.raw[id] != pressed {
-		p.raw[id] = pressed
-		p.lastEdge[id] = at
+	k := p.key(id)
+	if k != nil && k.raw != pressed {
+		k.raw = pressed
+		k.lastEdge = at
 	}
 }
 
@@ -165,33 +167,25 @@ func (p *Pad) Set(id ID, pressed bool, at time.Duration) {
 // state produces an event.
 func (p *Pad) Scan(at time.Duration) []Event {
 	var events []Event
-	for _, id := range p.layout.Buttons {
-		raw := p.raw[id]
-		if raw == p.stable[id] {
+	for i := range p.keys {
+		k := &p.keys[i]
+		if k.raw == k.stable || at-k.lastEdge < p.debounce {
 			continue
 		}
-		if at-p.lastEdge[id] < p.debounce {
-			continue
-		}
-		p.stable[id] = raw
+		k.stable = k.raw
 		kind := Release
-		if raw {
+		if k.raw {
 			kind = Press
 		}
-		events = append(events, Event{Button: id, Kind: kind, At: at})
+		events = append(events, Event{Button: p.layout.Buttons[i], Kind: kind, At: at})
 	}
-	p.queue = append(p.queue, events...)
 	return events
 }
 
 // Pressed reports the debounced state of a button.
-func (p *Pad) Pressed(id ID) bool { return p.stable[id] }
-
-// Drain returns and clears all queued events.
-func (p *Pad) Drain() []Event {
-	q := p.queue
-	p.queue = nil
-	return q
+func (p *Pad) Pressed(id ID) bool {
+	k := p.key(id)
+	return k != nil && k.stable
 }
 
 // Tap is a test/scenario helper: it presses and releases a button with

@@ -59,15 +59,30 @@ func TestUnknownButtonIgnored(t *testing.T) {
 	}
 }
 
-func TestDrainQueue(t *testing.T) {
+func TestScanReportsTapEdges(t *testing.T) {
 	p := NewPad(PrototypeLayout())
-	p.Tap(TopRight, 0)
-	evs := p.Drain()
-	if len(evs) != 2 { // press + release
-		t.Fatalf("drained %d events, want 2", len(evs))
+	// The edges of a Tap at t=0, with the events each scan returns
+	// collected: the pad keeps no queue of its own.
+	var evs []Event
+	p.Set(TopRight, true, 0)
+	evs = append(evs, p.Scan(DefaultDebounce)...)
+	release := DefaultDebounce + 30*time.Millisecond
+	p.Set(TopRight, false, release)
+	evs = append(evs, p.Scan(release+DefaultDebounce)...)
+	want := []Event{
+		{Button: TopRight, Kind: Press, At: DefaultDebounce},
+		{Button: TopRight, Kind: Release, At: release + DefaultDebounce},
 	}
-	if len(p.Drain()) != 0 {
-		t.Fatal("drain did not clear the queue")
+	if len(evs) != len(want) { // press + release
+		t.Fatalf("scans returned %d events, want %d: %v", len(evs), len(want), evs)
+	}
+	for i := range want {
+		if evs[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, evs[i], want[i])
+		}
+	}
+	if evs := p.Scan(time.Second); len(evs) != 0 {
+		t.Fatalf("settled pad reported %v", evs)
 	}
 }
 

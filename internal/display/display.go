@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"unicode/utf8"
 )
 
 // Panel geometry.
@@ -80,15 +81,12 @@ func (d *Display) WriteBytes(data []byte) error {
 		if len(rest) < 1 {
 			return fmt.Errorf("%w: set-line needs a row", ErrShortCommand)
 		}
-		text := rest[1:]
-		if len(text) > TextCols {
-			text = text[:TextCols]
+		row := int(rest[0])
+		if row >= TextLines {
+			return fmt.Errorf("%w: row %d", ErrBounds, row)
 		}
-		// SetLine only copies from the string, so this short conversion
-		// stays on the stack: a row write allocates nothing.
-		if err := d.SetLine(int(rest[0]), string(text)); err != nil {
-			return err
-		}
+		d.lineLen[row] = uint8(copy(d.lines[row][:], rest[1:]))
+		d.rasterizeLine(row)
 	case CmdContrast:
 		if len(rest) < 1 {
 			return fmt.Errorf("%w: contrast needs a level", ErrShortCommand)
@@ -230,12 +228,16 @@ func (d *Display) Render() string {
 // so the row is one 96-bit mask stored six times.
 func (d *Display) rasterizeLine(row int) {
 	var mask [2]uint64
-	for col, ch := range string(d.text(row)) {
-		if ch == ' ' || col >= TextCols {
-			continue
+	text := d.text(row)
+	for col, c := range text {
+		if c >= utf8.RuneSelf {
+			mask = runeMask(text)
+			break
 		}
-		mask[0] |= cellMask[col][0]
-		mask[1] |= cellMask[col][1]
+		if c != ' ' {
+			mask[0] |= cellMask[col][0]
+			mask[1] |= cellMask[col][1]
+		}
 	}
 	band := d.pixels[row*GlyphH : (row+1)*GlyphH]
 	band[0] = [2]uint64{}
@@ -243,6 +245,19 @@ func (d *Display) rasterizeLine(row int) {
 		band[y] = mask
 	}
 	band[GlyphH-1] = [2]uint64{}
+}
+
+// runeMask is rasterizeLine's path for non-ASCII text: it decodes the row
+// as UTF-8 and lights the cell at each non-space rune's byte offset.
+func runeMask(text []byte) (mask [2]uint64) {
+	for col, ch := range string(text) {
+		if ch == ' ' || col >= TextCols {
+			continue
+		}
+		mask[0] |= cellMask[col][0]
+		mask[1] |= cellMask[col][1]
+	}
+	return mask
 }
 
 // text returns the stored bytes of a text row.

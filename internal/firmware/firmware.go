@@ -528,7 +528,7 @@ func (fw *Firmware) appendDebugLine(b []byte, row int, v float64, island int, ba
 	case 0:
 		return append(b, "DistScroll dbg"...)
 	case 1:
-		return strconv.AppendFloat(append(b, "V="...), v, 'f', 3, 64)
+		return appendFixed(append(b, "V="...), v, 3)
 	case 2:
 		if fw.health.signal == SignalOutOfRange {
 			// "no measurement can be made" — keep it within the 16-column
@@ -544,11 +544,11 @@ func (fw *Firmware) appendDebugLine(b []byte, row int, v float64, island int, ba
 	case fw.health.signal == SignalFault:
 		return append(b, SignalFault.String()...)
 	case fw.health.lowBattery:
-		return append(strconv.AppendFloat(append(b, "LOW BAT "...), batt, 'f', 1, 64), 'V')
+		return append(appendFixed(append(b, "LOW BAT "...), batt, 1), 'V')
 	case fw.ctx.detector != nil:
 		return fw.Context().Append(b)
 	}
-	return append(strconv.AppendFloat(append(b, "bat="...), batt, 'f', 1, 64), 'V')
+	return append(appendFixed(append(b, "bat="...), batt, 1), 'V')
 }
 
 func (fw *Firmware) send(m rf.Message, now time.Duration) {

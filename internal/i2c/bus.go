@@ -47,10 +47,21 @@ type Stats struct {
 
 // Bus is a single-master I2C bus.
 type Bus struct {
-	slaves map[byte]Slave
+	// slaves is the slave table, found by linear scan: a board carries two
+	// or three slaves, so a scan of a short slice beats hashing the address
+	// on every transaction. An entry outlives Detach (slave == nil) so its
+	// op count stays in Stats; a later Attach at the address reuses it.
+	slaves []slaveEntry
 	// clockHz is the bus clock; standard mode is 100 kHz.
 	clockHz int
 	stats   Stats
+}
+
+// slaveEntry is one address of the slave table.
+type slaveEntry struct {
+	addr  byte
+	slave Slave // nil once detached
+	ops   uint64
 }
 
 // NewBus returns a bus running at the given clock rate (Hz). A rate <= 0
@@ -59,10 +70,25 @@ func NewBus(clockHz int) *Bus {
 	if clockHz <= 0 {
 		clockHz = 100_000
 	}
-	return &Bus{
-		slaves:  make(map[byte]Slave),
-		clockHz: clockHz,
+	return &Bus{clockHz: clockHz}
+}
+
+// entry returns the table entry for addr, or nil.
+func (b *Bus) entry(addr byte) *slaveEntry {
+	for i := range b.slaves {
+		if b.slaves[i].addr == addr {
+			return &b.slaves[i]
+		}
 	}
+	return nil
+}
+
+// slave returns the entry of the slave attached at addr, or nil.
+func (b *Bus) slave(addr byte) *slaveEntry {
+	if e := b.entry(addr); e != nil && e.slave != nil {
+		return e
+	}
+	return nil
 }
 
 // Attach registers a slave at a 7-bit address.
@@ -70,29 +96,47 @@ func (b *Bus) Attach(addr byte, s Slave) error {
 	if addr > 0x77 || addr < 0x08 {
 		return fmt.Errorf("%w: %#x", ErrInvalidAddress, addr)
 	}
-	if _, ok := b.slaves[addr]; ok {
+	e := b.entry(addr)
+	switch {
+	case e == nil:
+		b.slaves = append(b.slaves, slaveEntry{addr: addr, slave: s})
+	case e.slave != nil:
 		return fmt.Errorf("%w: %#x", ErrAddressInUse, addr)
+	default:
+		e.slave = s
 	}
-	b.slaves[addr] = s
 	return nil
 }
 
-// Detach removes the slave at addr, if any.
-func (b *Bus) Detach(addr byte) { delete(b.slaves, addr) }
+// Detach removes the slave at addr, if any. The address keeps its op
+// count in Stats.
+func (b *Bus) Detach(addr byte) {
+	if e := b.entry(addr); e != nil {
+		e.slave = nil
+	}
+}
 
 // Addresses returns the number of attached slaves.
-func (b *Bus) Addresses() int { return len(b.slaves) }
+func (b *Bus) Addresses() int {
+	n := 0
+	for _, e := range b.slaves {
+		if e.slave != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // Write issues a master→slave write transaction.
 func (b *Bus) Write(addr byte, data []byte) error {
-	s, ok := b.slaves[addr]
-	if !ok {
+	e := b.slave(addr)
+	if e == nil {
 		b.stats.Nacks++
 		return fmt.Errorf("%w: %#x", ErrNack, addr)
 	}
 	b.stats.Writes++
-	b.account(addr, len(data))
-	if err := s.WriteBytes(data); err != nil {
+	b.account(e, len(data))
+	if err := e.slave.WriteBytes(data); err != nil {
 		return fmt.Errorf("i2c: write to %#x: %w", addr, err)
 	}
 	return nil
@@ -100,14 +144,14 @@ func (b *Bus) Write(addr byte, data []byte) error {
 
 // Read issues a slave→master read transaction of n bytes.
 func (b *Bus) Read(addr byte, n int) ([]byte, error) {
-	s, ok := b.slaves[addr]
-	if !ok {
+	e := b.slave(addr)
+	if e == nil {
 		b.stats.Nacks++
 		return nil, fmt.Errorf("%w: %#x", ErrNack, addr)
 	}
 	b.stats.Reads++
-	b.account(addr, n)
-	data, err := s.ReadBytes(n)
+	b.account(e, n)
+	data, err := e.slave.ReadBytes(n)
 	if err != nil {
 		return nil, fmt.Errorf("i2c: read from %#x: %w", addr, err)
 	}
@@ -115,30 +159,28 @@ func (b *Bus) Read(addr byte, n int) ([]byte, error) {
 }
 
 // Probe reports whether a slave acknowledges the address.
-func (b *Bus) Probe(addr byte) bool {
-	_, ok := b.slaves[addr]
-	return ok
-}
+func (b *Bus) Probe(addr byte) bool { return b.slave(addr) != nil }
 
-// Stats returns a copy of the accumulated bus statistics.
+// Stats returns a copy of the accumulated bus statistics. PerSlaveOps is a
+// fresh map holding every address that has carried a transaction,
+// detached ones included.
 func (b *Bus) Stats() Stats {
 	cp := b.stats
-	cp.PerSlaveOps = make(map[byte]uint64, len(b.stats.PerSlaveOps))
-	for k, v := range b.stats.PerSlaveOps {
-		cp.PerSlaveOps[k] = v
+	cp.PerSlaveOps = make(map[byte]uint64, len(b.slaves))
+	for _, e := range b.slaves {
+		if e.ops > 0 {
+			cp.PerSlaveOps[e.addr] = e.ops
+		}
 	}
 	return cp
 }
 
 // account records byte counts and bus occupancy time. Each byte costs nine
 // clock cycles (8 data bits + ACK), plus one address byte per transaction.
-func (b *Bus) account(addr byte, payload int) {
+func (b *Bus) account(e *slaveEntry, payload int) {
 	bytes := uint64(payload) + 1
 	b.stats.Bytes += bytes
 	cycles := bytes * 9
 	b.stats.BusTime += time.Duration(float64(cycles) / float64(b.clockHz) * float64(time.Second))
-	if b.stats.PerSlaveOps == nil {
-		b.stats.PerSlaveOps = make(map[byte]uint64)
-	}
-	b.stats.PerSlaveOps[addr]++
+	e.ops++
 }

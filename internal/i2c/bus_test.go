@@ -151,3 +151,65 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal("Stats returned internal map")
 	}
 }
+
+func TestStatsKeepDetachedAddress(t *testing.T) {
+	b := NewBus(0)
+	if err := b.Attach(0x3C, &echoSlave{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Attach(0x3D, &echoSlave{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := b.Write(0x3C, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := b.Stats()
+	b.Detach(0x3C)
+	if err := b.Write(0x3C, []byte{1}); !errors.Is(err, ErrNack) {
+		t.Fatalf("write after detach: %v", err)
+	}
+	st := b.Stats()
+	if st.PerSlaveOps[0x3C] != 3 {
+		t.Fatalf("detached address lost its op count: %v", st.PerSlaveOps)
+	}
+	if _, ok := st.PerSlaveOps[0x3D]; ok {
+		t.Fatalf("idle address listed: %v", st.PerSlaveOps)
+	}
+	if st.Writes != before.Writes || st.Bytes != before.Bytes || st.BusTime != before.BusTime ||
+		st.Nacks != before.Nacks+1 {
+		t.Fatalf("stats after detach: before %+v, after %+v", before, st)
+	}
+}
+
+func TestReattachAfterDetach(t *testing.T) {
+	b := NewBus(0)
+	old, fresh := &echoSlave{}, &echoSlave{}
+	if err := b.Attach(0x3C, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Write(0x3C, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	b.Detach(0x3C)
+	b.Detach(0x3C) // detaching twice is harmless
+	if err := b.Attach(0x3C, fresh); err != nil {
+		t.Fatalf("attach after detach: %v", err)
+	}
+	if err := b.Attach(0x3C, &echoSlave{}); !errors.Is(err, ErrAddressInUse) {
+		t.Fatalf("duplicate attach after re-attach: %v", err)
+	}
+	if !b.Probe(0x3C) || b.Addresses() != 1 {
+		t.Fatalf("probe %v, addresses %d", b.Probe(0x3C), b.Addresses())
+	}
+	if err := b.Write(0x3C, []byte{2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if len(old.written) != 1 || len(fresh.written) != 1 {
+		t.Fatalf("writes reached old %d, fresh %d", len(old.written), len(fresh.written))
+	}
+	if got := b.Stats().PerSlaveOps[0x3C]; got != 2 {
+		t.Fatalf("per-slave ops across re-attach = %d, want 2", got)
+	}
+}

@@ -2,6 +2,7 @@ package rf
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -135,6 +136,13 @@ func (c *arqCounters) stats() ARQStats {
 	}
 }
 
+// armedTimer is one scheduled retransmit timeout: its deadline and the
+// timer generation it was armed with.
+type armedTimer struct {
+	deadline time.Duration
+	gen      int
+}
+
 // arqFrame is one payload tracked by the sender. A skip frame is a filler
 // the sender substitutes for abandoned payloads: it occupies their sequence
 // range so the stream stays contiguous, and carries a MsgSkip notice telling
@@ -166,10 +174,19 @@ type ARQ struct {
 	cnt   arqCounters
 	trace *tracing.Recorder
 
+	// inflight and queue drop frames from the front by shifting in place,
+	// so their backing arrays are never outgrown by re-slicing.
 	inflight []*arqFrame // oldest first, len <= cfg.Window
 	queue    []*arqFrame // backlog, len <= cfg.Queue
-	rto      time.Duration
-	gen      int // retransmit-timer generation; bumping it disarms old timers
+	// free holds frames done with (acked, or merged into a filler) for
+	// SendTagged to reuse with their payload buffers.
+	free []*arqFrame
+	rto  time.Duration
+	gen  int // retransmit-timer generation; bumping it disarms old timers
+	// armed lists the retransmit timers still queued on the scheduler, in
+	// arm order; fire is the one callback every armTimer schedules.
+	armed []armedTimer
+	fire  func(at time.Duration)
 	// lastTxEnd is the estimated completion time of the newest transmission,
 	// so the timeout covers radio serialisation of a full window.
 	lastTxEnd time.Duration
@@ -185,7 +202,9 @@ func NewARQ(cfg ARQConfig, sched sim.EventScheduler, rng *sim.Rand, tx Transport
 		return nil, fmt.Errorf("rf: arq: inner transport is required")
 	}
 	cfg = cfg.withDefaults()
-	return &ARQ{cfg: cfg, sched: sched, rng: rng, tx: tx, rto: cfg.RTO}, nil
+	a := &ARQ{cfg: cfg, sched: sched, rng: rng, tx: tx, rto: cfg.RTO}
+	a.fire = a.onFire
+	return a, nil
 }
 
 // Stats returns the reliable-delivery counters.
@@ -232,8 +251,7 @@ func (a *ARQ) SendTagged(payload []byte, ver PayloadVersion) (time.Duration, err
 	a.cnt.enqueued.Add(1)
 	a.trace.Record(tracing.HopArqEnqueue, seq, a.sched.Clock().Now(),
 		uint32(len(a.inflight)+len(a.queue)), 0)
-	fr := &arqFrame{seq: seq, ver: ver, device: PayloadDevice(payload),
-		payload: append([]byte(nil), payload...)}
+	fr := a.newFrame(seq, ver, PayloadDevice(payload), payload)
 	if len(a.inflight) < a.cfg.Window {
 		wasEmpty := len(a.inflight) == 0
 		a.inflight = append(a.inflight, fr)
@@ -275,7 +293,8 @@ func (a *ARQ) SendTagged(payload []byte, ver PayloadVersion) (time.Duration, err
 			// covering exactly one seq.
 			head.seq = a.queue[h+1].seq
 			head.skipCount++
-			a.queue = append(a.queue[:h+1], a.queue[h+2:]...)
+			a.free = append(a.free, a.queue[h+1])
+			a.queue = slices.Delete(a.queue, h+1, h+2)
 			a.cnt.queueDrops.Add(1)
 			a.trace.Record(tracing.HopArqOverflow, head.seq, a.sched.Clock().Now(),
 				uint32(head.skipCount), 0)
@@ -298,6 +317,21 @@ func (a *ARQ) SendTagged(payload []byte, ver PayloadVersion) (time.Duration, err
 	return a.sched.Clock().Now(), nil
 }
 
+// newFrame returns a tracked frame holding a copy of payload, reusing a
+// frame and its payload buffer from the free list when there is one.
+func (a *ARQ) newFrame(seq uint16, ver PayloadVersion, device uint32, payload []byte) *arqFrame {
+	var fr *arqFrame
+	if n := len(a.free); n > 0 {
+		fr = a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+	} else {
+		fr = new(arqFrame)
+	}
+	*fr = arqFrame{seq: seq, ver: ver, device: device, payload: append(fr.payload[:0], payload...)}
+	return fr
+}
+
 // toSkip converts a tracked frame into a skip filler covering its own
 // sequence number. It never fails: the frame entered the window because
 // PayloadSeq found a sequence number, so that seq MUST be announced to the
@@ -311,13 +345,14 @@ func (a *ARQ) toSkip(fr *arqFrame) {
 
 // refreshSkip rebuilds a filler's MsgSkip payload from its current range
 // (skipCount seqs ending at seq), in place in the frame's own buffer. A v0
-// filler is the v1 encoding without its 5-byte header.
+// filler is the v1 encoding without its 5-byte header, moved to the front
+// of the buffer so the frame keeps its whole capacity for reuse.
 func (a *ARQ) refreshSkip(fr *arqFrame) {
 	m := Message{Kind: MsgSkip, Device: fr.device, Seq: fr.seq, Index: int16(fr.skipCount),
 		AtMillis: uint32(a.sched.Clock().Now() / time.Millisecond)}
 	fr.payload = m.AppendBinary(fr.payload[:0])
 	if fr.ver == PayloadV0 {
-		fr.payload = fr.payload[msgLenV1-msgLenV0:]
+		fr.payload = fr.payload[:copy(fr.payload, fr.payload[msgLenV1-msgLenV0:])]
 	}
 }
 
@@ -348,6 +383,8 @@ func (a *ARQ) transmit(fr *arqFrame) (time.Duration, error) {
 
 // armTimer schedules the retransmit timeout for the current window,
 // invalidating any previously armed timer. No-op when nothing is in flight.
+// Every arm schedules the same bound callback and records its (deadline,
+// generation) pair; see onFire for how a firing finds its pair.
 func (a *ARQ) armTimer() {
 	a.gen++
 	if len(a.inflight) == 0 {
@@ -361,8 +398,24 @@ func (a *ARQ) armTimer() {
 	if now := a.sched.Clock().Now(); deadline < now {
 		deadline = now + d
 	}
-	g := a.gen
-	a.sched.At(deadline, func(at time.Duration) { a.onTimer(g) })
+	a.armed = append(a.armed, armedTimer{deadline: deadline, gen: a.gen})
+	a.sched.At(deadline, a.fire)
+}
+
+// onFire runs a retransmit timer that fired at time at: it takes the first
+// armed pair due at at. A timer fires exactly at its deadline, since
+// armTimer never schedules in the past, and the scheduler fires equal-time
+// events in the order they were scheduled, which is the order of armed. So
+// every earlier deadline has already been taken, and the first pair due at
+// at is this event's own.
+func (a *ARQ) onFire(at time.Duration) {
+	for i, t := range a.armed {
+		if t.deadline == at {
+			a.armed = slices.Delete(a.armed, i, i+1)
+			a.onTimer(t.gen)
+			return
+		}
+	}
 }
 
 // onTimer fires the retransmit timeout: every in-flight frame is resent
@@ -414,12 +467,17 @@ func (a *ARQ) onTimer(gen int) {
 	a.armTimer()
 }
 
-// promote moves backlog frames into free window slots and transmits them.
+// promote moves backlog frames into free window slots and transmits them
+// oldest first.
 func (a *ARQ) promote() {
-	for len(a.inflight) < a.cfg.Window && len(a.queue) > 0 {
-		fr := a.queue[0]
-		a.queue = a.queue[1:]
-		a.inflight = append(a.inflight, fr)
+	n := min(a.cfg.Window-len(a.inflight), len(a.queue))
+	if n <= 0 {
+		return
+	}
+	start := len(a.inflight)
+	a.inflight = append(a.inflight, a.queue[:n]...)
+	a.queue = slices.Delete(a.queue, 0, n)
+	for _, fr := range a.inflight[start:] {
 		a.transmit(fr)
 	}
 }
@@ -438,16 +496,15 @@ func (a *ARQ) HandleAck(payload []byte, at time.Duration) {
 		return
 	}
 	a.cnt.acksReceived.Add(1)
-	progressed := false
-	confirmed := uint32(0)
-	for len(a.inflight) > 0 && seqLE(a.inflight[0].seq, m.Seq) {
-		a.inflight = a.inflight[1:]
-		a.cnt.acked.Add(1)
+	confirmed := 0
+	for confirmed < len(a.inflight) && seqLE(a.inflight[confirmed].seq, m.Seq) {
 		confirmed++
-		progressed = true
 	}
-	a.trace.Record(tracing.HopArqAck, m.Seq, at, confirmed, 0)
-	if !progressed {
+	a.free = append(a.free, a.inflight[:confirmed]...)
+	a.inflight = slices.Delete(a.inflight, 0, confirmed)
+	a.cnt.acked.Add(uint64(confirmed))
+	a.trace.Record(tracing.HopArqAck, m.Seq, at, uint32(confirmed), 0)
+	if confirmed == 0 {
 		a.cnt.dupAcks.Add(1)
 		return
 	}

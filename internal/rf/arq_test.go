@@ -1,6 +1,7 @@
 package rf
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -54,7 +55,13 @@ type reliableLoop struct {
 
 func newReliableLoop(t *testing.T, cfg ARQConfig, drop, dropAcks map[int]bool) *reliableLoop {
 	t.Helper()
-	l := &reliableLoop{t: t, sched: sim.NewScheduler(sim.NewClock(0)), dropAcks: dropAcks}
+	return newReliableLoopOn(t, sim.NewScheduler(sim.NewClock(0)), cfg, drop, dropAcks)
+}
+
+// newReliableLoopOn is newReliableLoop on a given scheduler.
+func newReliableLoopOn(t *testing.T, sched sim.EventScheduler, cfg ARQConfig, drop, dropAcks map[int]bool) *reliableLoop {
+	t.Helper()
+	l := &reliableLoop{t: t, sched: sched, dropAcks: dropAcks}
 	l.tx = &scriptTx{sched: l.sched, latency: 2 * time.Millisecond, drop: drop, sink: l.receive}
 	arq, err := NewARQ(cfg, l.sched, sim.NewRand(5), l.tx)
 	if err != nil {
@@ -245,6 +252,92 @@ func TestARQRetryBudget(t *testing.T) {
 	l.run(time.Second)
 	if len(l.got) != 1 || l.got[0] != 3 {
 		t.Fatalf("received %v after recovery, want [3]", l.got)
+	}
+}
+
+// TestARQTimerSameDeadline arms the retransmit timer twice at the same
+// deadline (no jitter): both events fire at that instant, and only the
+// newer generation may run a timeout — one go-back-N pass, one
+// retransmission. A timer re-armed to a later deadline must not fire at
+// the earlier one.
+func TestARQTimerSameDeadline(t *testing.T) {
+	sched := sim.NewScheduler(sim.NewClock(0))
+	tx := &scriptTx{sched: sched, sink: func([]byte, time.Duration) {}, drop: map[int]bool{0: true, 1: true}}
+	arq, err := NewARQ(ARQConfig{RTO: 50 * time.Millisecond}, sched, nil, tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Message{Kind: MsgScroll, Device: 1, Seq: 0}.AppendBinary(nil)
+	if _, err := arq.SendTagged(p, PayloadV1); err != nil {
+		t.Fatal(err)
+	}
+	arq.armTimer()
+	if len(arq.armed) != 2 || arq.armed[0].deadline != arq.armed[1].deadline {
+		t.Fatalf("armed %+v, want two timers at one deadline", arq.armed)
+	}
+	deadline := arq.armed[0].deadline
+	if err := sched.Run(deadline); err != nil {
+		t.Fatal(err)
+	}
+	st := arq.Stats()
+	if st.Timeouts != 1 || st.Retransmits != 1 || tx.sends != 2 {
+		t.Fatalf("after the shared deadline: %+v, %d sends; want 1 timeout, 1 retransmission, 2 sends", st, tx.sends)
+	}
+	// The pass re-armed one timer at the backed-off timeout; both fired
+	// timers are gone.
+	if len(arq.armed) != 1 || arq.armed[0].deadline != deadline+100*time.Millisecond {
+		t.Fatalf("armed %+v after the firing, want one timer at %v", arq.armed, deadline+100*time.Millisecond)
+	}
+
+	// Re-arm later than the pending timer: the earlier event is stale.
+	arq.lastTxEnd += 30 * time.Millisecond
+	arq.armTimer()
+	if err := sched.Run(deadline + 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := arq.Stats().Timeouts; got != 1 {
+		t.Fatalf("a superseded timer ran a timeout: %d timeouts", got)
+	}
+	if err := sched.Run(deadline + 130*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := arq.Stats().Timeouts; got != 2 {
+		t.Fatalf("the re-armed timer did not fire: %d timeouts", got)
+	}
+}
+
+// TestARQSchedulersAgree runs one scripted lossy loop, with jitter, data
+// and ack losses and a backlog, on both scheduler implementations: the
+// ARQ's timers must resolve identically on each.
+func TestARQSchedulersAgree(t *testing.T) {
+	run := func(sched sim.EventScheduler) (ARQStats, []uint16) {
+		drop, dropAcks := map[int]bool{}, map[int]bool{}
+		for i := 0; i < 200; i++ {
+			drop[i] = i%3 == 0 || i%7 == 2
+			dropAcks[i] = i%4 == 1
+		}
+		l := newReliableLoopOn(t, sched, ARQConfig{Window: 4, Queue: 6, MaxRetries: 5,
+			RTO: 10 * time.Millisecond, MaxRTO: 80 * time.Millisecond}, drop, dropAcks)
+		for seq := uint16(0); seq < 40; seq++ {
+			l.send(seq)
+			l.run(3 * time.Millisecond)
+		}
+		l.run(10 * time.Second)
+		if l.arq.Outstanding() != 0 {
+			t.Fatalf("%d frames outstanding after the drain", l.arq.Outstanding())
+		}
+		return l.arq.Stats(), l.got
+	}
+	wantStats, wantGot := run(sim.NewHeapScheduler(sim.NewClock(0)))
+	gotStats, gotGot := run(sim.NewScheduler(sim.NewClock(0)))
+	if gotStats != wantStats {
+		t.Fatalf("value heap %+v, reference heap %+v", gotStats, wantStats)
+	}
+	if fmt.Sprint(gotGot) != fmt.Sprint(wantGot) {
+		t.Fatalf("received %v on the value heap, %v on the reference heap", gotGot, wantGot)
+	}
+	if wantStats.Timeouts == 0 || wantStats.Retransmits == 0 || wantStats.DupAcks == 0 {
+		t.Fatalf("the script exercised no recovery: %+v", wantStats)
 	}
 }
 

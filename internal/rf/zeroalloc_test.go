@@ -156,3 +156,111 @@ func TestEncodeAppendEncodeEquivalent(t *testing.T) {
 		t.Fatalf("error path must leave dst unchanged, got len %d", len(out))
 	}
 }
+
+// arqAckLoop closes the reliable loop over ideal Links without allocating
+// in the harness: ARQ → forward Link → in-order receiver → ack Link →
+// ARQ.HandleAck. The receiver admits skip fillers like core.Session and
+// drops the next ack when muted.
+type arqAckLoop struct {
+	sched    *sim.Scheduler
+	arq      *ARQ
+	ack      *Link
+	await    uint16
+	received int
+	mute     bool
+	seq      uint16
+	payload  []byte
+}
+
+func newARQAckLoop(t testing.TB, cfg ARQConfig) *arqAckLoop {
+	l := &arqAckLoop{sched: sim.NewScheduler(sim.NewClock(0))}
+	fwd, err := NewLink(LinkConfig{Latency: 2 * time.Millisecond}, l.sched, nil, l.receive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.arq, err = NewARQ(cfg, l.sched, nil, fwd); err != nil {
+		t.Fatal(err)
+	}
+	if l.ack, err = NewLink(LinkConfig{Latency: 2 * time.Millisecond}, l.sched, nil, l.arq.HandleAck); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func (l *arqAckLoop) receive(payload []byte, _ time.Duration) {
+	var m Message
+	if !m.Decode(payload) {
+		return
+	}
+	if m.Kind == MsgSkip {
+		if first := m.Seq - uint16(m.Index) + 1; l.await-first < 0x8000 && m.Seq-l.await < 0x8000 {
+			l.await = m.Seq + 1
+		}
+	} else if m.Seq == l.await {
+		l.received++
+		l.await++
+	}
+	if l.mute {
+		l.mute = false
+		return
+	}
+	l.ack.SendAck(m.Device, l.await-1)
+}
+
+// send hands n fresh sequenced payloads to the ARQ, then runs the loop
+// until everything is confirmed.
+func (l *arqAckLoop) send(t testing.TB, n int) {
+	for i := 0; i < n; i++ {
+		l.payload = Message{Kind: MsgScroll, Device: 1, Seq: l.seq}.AppendBinary(l.payload[:0])
+		l.seq++
+		if _, err := l.arq.SendTagged(l.payload, PayloadV1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.sched.Run(l.sched.Clock().Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if o := l.arq.Outstanding(); o != 0 {
+		t.Fatalf("%d frames outstanding after the loop ran", o)
+	}
+}
+
+// TestARQSteadyStateZeroAlloc pins the reliable sender's steady state at
+// zero allocations: frames and their payload buffers come back through
+// the free list, the window and backlog shift in place, and every
+// retransmit timer schedules the one pre-bound callback. Three paths are
+// measured after warm-up: send → deliver → ack → promote from the
+// backlog, one retransmit timeout, and a backlog overflow that merges
+// payloads into a skip filler.
+func TestARQSteadyStateZeroAlloc(t *testing.T) {
+	l := newARQAckLoop(t, ARQConfig{Window: 1, Queue: 2, RTO: 20 * time.Millisecond})
+	promote := func() { l.send(t, 2) }
+	timeout := func() {
+		l.mute = true
+		l.send(t, 1)
+	}
+	overflow := func() { l.send(t, 5) }
+	for i := 0; i < 50; i++ {
+		promote()
+		timeout()
+		overflow()
+	}
+	for _, c := range []struct {
+		name string
+		run  func()
+		// moved reports whether the path's own counter advanced.
+		moved func(before, after ARQStats) bool
+	}{
+		{"send+ack+promote", promote, func(b, a ARQStats) bool { return a.Acked > b.Acked }},
+		{"retransmit timeout", timeout, func(b, a ARQStats) bool { return a.Timeouts > b.Timeouts }},
+		{"overflow into a skip filler", overflow, func(b, a ARQStats) bool { return a.QueueDrops > b.QueueDrops }},
+	} {
+		before := l.arq.Stats()
+		if n := testing.AllocsPerRun(200, c.run); n != 0 {
+			t.Errorf("ARQ %s: %v allocs/op, want 0", c.name, n)
+		}
+		if !c.moved(before, l.arq.Stats()) {
+			t.Errorf("ARQ %s: path not exercised (%+v)", c.name, l.arq.Stats())
+		}
+	}
+}

@@ -489,6 +489,40 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	}
 }
 
+// crcSink keeps the CRC benchmarks' results live.
+var crcSink uint16
+
+// benchCRC16 measures rf.CRC16 over a fixed body; allocs/op must read 0.
+func benchCRC16(b *testing.B, body []byte) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		crcSink ^= rf.CRC16(body)
+	}
+}
+
+// BenchmarkCRC16Frame is the checksum every telemetry frame pays, once on
+// encode and once on decode: 21 bytes, the length byte plus a v1 payload.
+func BenchmarkCRC16Frame(b *testing.B) {
+	payload := rf.Message{Device: 9, Kind: rf.MsgScroll, Seq: 7, AtMillis: 1234, Index: 3}.AppendBinary(nil)
+	body := append([]byte{byte(len(payload))}, payload...)
+	if len(body) != 21 {
+		b.Fatalf("frame body is %d bytes, want 21", len(body))
+	}
+	benchCRC16(b, body)
+}
+
+// BenchmarkCRC16Max is the checksum of the largest frame: 256 bytes, the
+// length byte plus a maximum payload.
+func BenchmarkCRC16Max(b *testing.B) {
+	body := make([]byte, 1+rf.MaxPayload)
+	body[0] = rf.MaxPayload
+	for i := 1; i < len(body); i++ {
+		body[i] = byte(i * 31)
+	}
+	benchCRC16(b, body)
+}
+
 // BenchmarkHubnetIngest measures the networked hub's server-side hot path:
 // a prebuilt byte stream of framed v1 messages from 64 devices pushed
 // through one stream ingest into a 4-shard gateway — stream decode, CRC

@@ -25,9 +25,12 @@ func crc16Bitwise(data []byte) uint16 {
 
 // TestCRC16TableMatchesBitwise pins the table-driven CRC16 byte-identical
 // to the bit-at-a-time reference over known vectors, every single-byte
-// input, and randomized buffers up to a full frame. The wire format cannot
-// tolerate even one diverging polynomial step: a mismatch would make every
-// frame encoded by one implementation fail the other's integrity check.
+// input, randomized buffers up to a full frame, and every length from 0 to
+// maxFrame at start offsets 0-7 of one seeded buffer, so each count of
+// 8-byte blocks, each tail length and each word alignment is covered. The
+// wire format cannot tolerate even one diverging polynomial step: a
+// mismatch would make every frame encoded by one implementation fail the
+// other's integrity check.
 func TestCRC16TableMatchesBitwise(t *testing.T) {
 	// CRC-16/CCITT-FALSE check value: "123456789" -> 0x29B1.
 	if got := CRC16([]byte("123456789")); got != 0x29B1 {
@@ -53,6 +56,32 @@ func TestCRC16TableMatchesBitwise(t *testing.T) {
 			t.Fatalf("trial %d (%d bytes): table %#04x, bitwise %#04x", trial, len(buf), got, want)
 		}
 	}
+	buf := make([]byte, 8+maxFrame)
+	rng.Read(buf)
+	for off := 0; off < 8; off++ {
+		for n := 0; n <= maxFrame; n++ {
+			in := buf[off : off+n]
+			if got, want := CRC16(in), crc16Bitwise(in); got != want {
+				t.Fatalf("offset %d, %d bytes: table %#04x, bitwise %#04x", off, n, got, want)
+			}
+		}
+	}
+}
+
+// FuzzCRC16 compares CRC16 with the bitwise reference on the fuzzed bytes
+// and on each sub-slice starting at offsets 0-7, so the 8-byte word loads
+// run unaligned and every tail length 0-7 is reached. The seed corpus in
+// testdata/fuzz holds lengths 0, 1, 7, 8, 9, 15, 16, 17, 21 (len + v1
+// payload) and 256 (len + maximum payload).
+func FuzzCRC16(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for off := 0; off < 8 && off <= len(data); off++ {
+			in := data[off:]
+			if got, want := CRC16(in), crc16Bitwise(in); got != want {
+				t.Fatalf("offset %d of %d bytes: table %#04x, bitwise %#04x", off, len(data), got, want)
+			}
+		}
+	})
 }
 
 // TestCRC16RejectsEveryBitFlip checks the integrity property end to end on

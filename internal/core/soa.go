@@ -214,10 +214,10 @@ func (s *StateSlab) approxNorm(i int) float64 {
 type FrameEmitter func(slot int, seq uint16, entry int16, atMillis uint32)
 
 // tick advances device i through one firmware cycle: motion, sample, then
-// the firmware stages in stepSignal. Optional hooks bin each emitted frame's
-// modelled end-to-end latency and/or hand the frame to emit; nil hooks
-// cost one predictable branch per frame. It allocates nothing.
-func (s *StateSlab) tick(i int, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
+// the firmware stages in stepSignal. Optional hooks tally each emitted frame
+// and/or hand it to emit; nil hooks cost one predictable branch per frame.
+// It allocates nothing.
+func (s *StateSlab) tick(i int, tally *SweepTally, emit FrameEmitter, atMillis uint32) {
 	// Hand motion: dwell at a reached target, then glide to the next.
 	d := s.dist[i]
 	switch {
@@ -237,14 +237,14 @@ func (s *StateSlab) tick(i int, bins *latencyBins, emit FrameEmitter, atMillis u
 		}
 		s.dist[i] = d
 	}
-	s.stepSignal(i, s.sensor.Sample(d)+s.noiseSD*s.approxNorm(i), bins, emit, atMillis)
+	s.stepSignal(i, s.sensor.Sample(d)+s.noiseSD*s.approxNorm(i), tally, emit, atMillis)
 }
 
 // stepSignal runs one raw sensor voltage of device i through the firmware's
 // stages — ideal ADC, median3+EMA, island lookup, cursor rule — and emits a
 // frame when the cursor moves. It returns the quantised and the filtered
 // voltage.
-func (s *StateSlab) stepSignal(i int, raw float64, bins *latencyBins, emit FrameEmitter, atMillis uint32) (q, v float64) {
+func (s *StateSlab) stepSignal(i int, raw float64, tally *SweepTally, emit FrameEmitter, atMillis uint32) (q, v float64) {
 	q = adc.Volts(adc.Code(raw, adc.DefaultVref), adc.DefaultVref)
 	v = s.filter[i].Step(q, firmware.DefaultEMAAlpha)
 
@@ -257,7 +257,7 @@ func (s *StateSlab) stepSignal(i int, raw float64, bins *latencyBins, emit Frame
 	if pos >= 0 {
 		if entry := int16(s.islands[pos].Index); entry != s.cursor[i] {
 			s.cursor[i] = entry
-			s.emitFrame(i, bins, emit, atMillis)
+			s.emitFrame(i, tally, emit, atMillis)
 		}
 	}
 	return q, v
@@ -266,17 +266,16 @@ func (s *StateSlab) stepSignal(i int, raw float64, bins *latencyBins, emit Frame
 // emitFrame accounts one scroll frame through the modelled reliable link:
 // a lost first copy is retransmitted and delivered (the ARQ guarantee),
 // and the window records it on the air until next tick's ack. With a
-// latency accumulator attached it also bins the frame's modelled
-// end-to-end latency.
-func (s *StateSlab) emitFrame(i int, bins *latencyBins, emit FrameEmitter, atMillis uint32) {
+// tally attached it also bins the frame's modelled end-to-end latency.
+func (s *StateSlab) emitFrame(i int, tally *SweepTally, emit FrameEmitter, atMillis uint32) {
 	s.sent[i]++
 	s.pend[i] = 1
 	lost := s.lossProb > 0 && u64ToFloat(s.nextU64(i)) < s.lossProb
 	if lost {
 		s.lost[i]++
 	}
-	if bins != nil {
-		bins[s.latencyBin(i, lost)]++
+	if tally != nil {
+		tally.bins[s.latencyBin(i, lost)]++
 	}
 	if emit != nil {
 		// One call per frame regardless of modelled loss: the slab models a
@@ -286,19 +285,40 @@ func (s *StateSlab) emitFrame(i int, bins *latencyBins, emit FrameEmitter, atMil
 	}
 }
 
-// latencyBins accumulates a sweep's modelled latency observations. The
-// model produces only 16 distinct values (8 hash bins × delivered-first-
-// try / retransmitted), so the per-frame instrumentation cost is a single
-// array increment; TickStripeObserved flushes the bins into the real
-// histogram once per stripe sweep.
-type latencyBins [16]uint64
+// SweepTally accumulates a sweep's frames for the sweep's caller. The
+// latency model produces only 16 distinct values (8 hash bins ×
+// delivered-first-try / retransmitted), so the per-frame cost is a single
+// array increment, and the sweep's sent and lost counts fall out of the
+// bins. Flush drains it into a histogram once per sweep.
+type SweepTally struct {
+	bins [16]uint64
+}
 
-// flush drains the bins into lat and zeroes them.
-func (b *latencyBins) flush(lat *telemetry.LocalHistogram) {
-	for k, n := range b {
+// Sent returns the frames tallied since the last Flush.
+func (t *SweepTally) Sent() uint64 {
+	var n uint64
+	for _, c := range t.bins {
+		n += c
+	}
+	return n
+}
+
+// Lost returns the tallied frames whose first copy was lost: the upper
+// eight bins.
+func (t *SweepTally) Lost() uint64 {
+	var n uint64
+	for _, c := range t.bins[8:] {
+		n += c
+	}
+	return n
+}
+
+// Flush drains the bins into lat (nil discards them) and zeroes them.
+func (t *SweepTally) Flush(lat *telemetry.LocalHistogram) {
+	for k, n := range t.bins {
 		if n != 0 {
 			lat.ObserveN(binLatencyMs(k), n)
-			b[k] = 0
+			t.bins[k] = 0
 		}
 	}
 }
@@ -332,48 +352,29 @@ func (s *StateSlab) latencyBin(i int, lost bool) int {
 	return k
 }
 
-// TickStripe advances the contiguous device range [lo, hi) through one
-// firmware cycle. It is the batched unit of work per scheduler firing: one
-// scheduler event per stripe, not one per device.
-func (s *StateSlab) TickStripe(lo, hi int, _ time.Duration) {
-	for i := lo; i < hi; i++ {
-		s.tick(i, nil, nil, 0)
-	}
-}
-
-// TickStripeEmit is TickStripe with a frame emitter: every frame the stripe
-// emits is handed to emit stamped with the sweep's virtual time. The caller
-// (one RunScale worker per stripe) owns emit exclusively during the tick.
-func (s *StateSlab) TickStripeEmit(lo, hi int, at time.Duration, emit FrameEmitter) {
+// Sweep advances the contiguous device range [lo, hi) through one firmware
+// cycle. It is the batched unit of work per scheduler firing: one scheduler
+// event per stripe, not one per device. Both hooks may be nil: tally
+// accumulates every frame the stripe sends, and emit receives each one
+// stamped with the sweep's virtual time. The caller (one RunScale worker per
+// stripe) owns both during the sweep, so the path takes no lock and
+// allocates nothing.
+func (s *StateSlab) Sweep(lo, hi int, at time.Duration, tally *SweepTally, emit FrameEmitter) {
 	atMillis := uint32(at / time.Millisecond)
 	for i := lo; i < hi; i++ {
-		s.tick(i, nil, emit, atMillis)
+		s.tick(i, tally, emit, atMillis)
 	}
 }
 
-// TickStripeObserved is TickStripe with a caller-synchronised latency
-// histogram: each emitted frame in the stripe bins its modelled end-to-end
-// latency into a stack accumulator, flushed into lat once per sweep. The
-// caller (one RunScale worker per stripe) owns lat exclusively during the
-// tick, so no synchronisation happens on this path and it still allocates
-// nothing.
-func (s *StateSlab) TickStripeObserved(lo, hi int, _ time.Duration, lat *telemetry.LocalHistogram) {
-	var bins latencyBins
-	for i := lo; i < hi; i++ {
-		s.tick(i, &bins, nil, 0)
-	}
-	bins.flush(lat)
-}
+// TickStripe is Sweep without hooks.
+func (s *StateSlab) TickStripe(lo, hi int, at time.Duration) { s.Sweep(lo, hi, at, nil, nil) }
 
-// TickStripeObservedEmit combines TickStripeObserved and TickStripeEmit:
-// latency binning and frame emission in one sweep.
-func (s *StateSlab) TickStripeObservedEmit(lo, hi int, at time.Duration, lat *telemetry.LocalHistogram, emit FrameEmitter) {
-	atMillis := uint32(at / time.Millisecond)
-	var bins latencyBins
-	for i := lo; i < hi; i++ {
-		s.tick(i, &bins, emit, atMillis)
-	}
-	bins.flush(lat)
+// TickStripeObserved is Sweep with its tally flushed into lat, which the
+// caller owns during the sweep.
+func (s *StateSlab) TickStripeObserved(lo, hi int, at time.Duration, lat *telemetry.LocalHistogram) {
+	var t SweepTally
+	s.Sweep(lo, hi, at, &t, nil)
+	t.Flush(lat)
 }
 
 // SlabTotals aggregates slab counters (see fleet.RunScale).

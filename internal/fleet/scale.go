@@ -36,13 +36,14 @@ type ScaleConfig struct {
 	LossProb float64
 
 	// Metrics, when non-nil, turns on the live ops plane for this run:
-	// each worker owns a per-stripe telemetry shard (plain counters and a
-	// LocalHistogram — no atomics on the tick path, still 0 allocs/op)
-	// and periodically publishes it; a Collector registered here merges
-	// the shards on every Snapshot into the canonical fw_*/rf_*/arq_*/
-	// hub_* names plus the sim_* engine gauges. The merged counters and
-	// histograms are deterministic and worker-count independent; the
-	// gauges describe the machine (wall-clock rates).
+	// each worker folds every sweep into its stripe's telemetry shard
+	// (plain counters and a LocalHistogram under a short per-shard lock —
+	// no atomics on the tick path, still 0 allocs/op); a Collector
+	// registered here merges the shards on every Snapshot into the
+	// canonical fw_*/rf_*/arq_*/hub_* names plus the sim_* engine gauges.
+	// The merged counters and histograms are deterministic and
+	// worker-count independent; the gauges describe the machine
+	// (wall-clock rates).
 	// The collector stays registered after the run ends, so a post-run
 	// scrape reads the final totals.
 	Metrics *telemetry.Registry
@@ -100,52 +101,48 @@ type ScaleResult struct {
 	TicksPerSecond float64
 }
 
-// scaleShard is one worker's telemetry stripe. The owner-side fields are
-// touched on the tick path by exactly one goroutine with no
-// synchronisation; publish copies them under mu at a coarse cadence
-// (~1 s of virtual time), and the registry collector reads only the
-// published copies — so a mid-run scrape never races the hot loop and
-// never waits on it.
+// scaleShard is one stripe's telemetry, the only copy there is. The
+// stripe's worker folds each sweep into it and the registry collector reads
+// it, both under mu; the critical section is a few adds and a 16-bin
+// histogram flush, so a scrape sees state at most one sweep old and never
+// waits on a sweep. A nil lat means the run is unobserved.
 type scaleShard struct {
-	lo, hi int
-
-	// Owner-only: written by the stripe's worker, never read elsewhere.
-	lat    *telemetry.LocalHistogram
-	ticks  uint64
-	sweeps uint64
-
-	mu         sync.Mutex
-	pubTicks   uint64
-	pubTotals  core.SlabTotals
-	pubLat     telemetry.HistogramSnapshot
-	pubVirtual time.Duration
-	pubElapsed float64
+	mu      sync.Mutex
+	lat     *telemetry.LocalHistogram
+	ticks   uint64
+	sent    uint64
+	lost    uint64
+	pending uint64 // frames sent by the last sweep, acked by the next
+	virtual time.Duration
+	elapsed float64
 }
 
-// publish copies the shard's live state into its published fields. Runs on
-// the worker goroutine between sweeps; cost is one stripe walk for totals
-// plus a histogram copy, amortised to noise by the coarse cadence.
-func (sh *scaleShard) publish(slab *core.StateSlab, at time.Duration, start time.Time) {
-	totals := slab.Totals(sh.lo, sh.hi)
-	elapsed := time.Since(start).Seconds()
+// fold adds one sweep of a stripe of devices, swept at virtual time at and
+// finished elapsed wall seconds into the run, to the shard, and drains the
+// sweep's tally into the shard's histogram.
+func (sh *scaleShard) fold(t *core.SweepTally, devices int, at time.Duration, elapsed float64) {
+	sent, lost := t.Sent(), t.Lost()
 	sh.mu.Lock()
-	sh.pubTicks = sh.ticks
-	sh.pubTotals = totals
-	sh.lat.SnapshotInto(&sh.pubLat)
-	sh.pubVirtual = at
-	sh.pubElapsed = elapsed
+	sh.ticks += uint64(devices)
+	sh.sent += sent
+	sh.lost += lost
+	// The slab clears every device's window at its next tick, so what is
+	// on the air after a sweep is exactly what that sweep sent.
+	sh.pending = sent
+	sh.virtual = at
+	sh.elapsed = elapsed
+	t.Flush(sh.lat)
 	sh.mu.Unlock()
 }
 
-// scaleCollector merges published shard state into a snapshot. Shards are
-// visited in stripe order and every merged quantity is either an integer
-// sum or a float64 sum of exactly-representable values (see
-// core.StateSlab's latency model), so the merged counters and histograms
-// do not depend on the worker count.
+// scaleCollector merges the shards into a snapshot. Shards are visited in
+// stripe order and every merged quantity is either an integer sum or a
+// float64 sum of exactly-representable values (see core.StateSlab's
+// latency model), so the merged counters and histograms do not depend on
+// the worker count.
 type scaleCollector struct {
-	cfg     ScaleConfig
-	workers int
-	shards  []*scaleShard
+	cfg    ScaleConfig
+	shards []scaleShard
 }
 
 func (sc *scaleCollector) collect(s *telemetry.Snapshot) {
@@ -153,38 +150,31 @@ func (sc *scaleCollector) collect(s *telemetry.Snapshot) {
 	var totals core.SlabTotals
 	minVirtual := time.Duration(-1)
 	var maxElapsed float64
-	for _, sh := range sc.shards {
+	for w := range sc.shards {
+		sh := &sc.shards[w]
 		sh.mu.Lock()
-		ticks += sh.pubTicks
-		totals.Sent += sh.pubTotals.Sent
-		totals.Delivered += sh.pubTotals.Delivered
-		totals.Lost += sh.pubTotals.Lost
-		totals.Retransmits += sh.pubTotals.Retransmits
-		totals.Switches += sh.pubTotals.Switches
-		totals.Outstanding += sh.pubTotals.Outstanding
-		if sh.pubTotals.MaxWindow > totals.MaxWindow {
-			totals.MaxWindow = sh.pubTotals.MaxWindow
+		ticks += sh.ticks
+		totals.Sent += sh.sent
+		totals.Lost += sh.lost
+		totals.Outstanding += sh.pending
+		s.MergeHistogram(telemetry.MetricHubE2ELatency, sh.lat.Snapshot())
+		if minVirtual < 0 || sh.virtual < minVirtual {
+			minVirtual = sh.virtual
 		}
-		if len(sh.pubLat.Bounds) > 0 {
-			s.MergeHistogram(telemetry.MetricHubE2ELatency, sh.pubLat)
-		}
-		if minVirtual < 0 || sh.pubVirtual < minVirtual {
-			minVirtual = sh.pubVirtual
-		}
-		if sh.pubElapsed > maxElapsed {
-			maxElapsed = sh.pubElapsed
+		if sh.elapsed > maxElapsed {
+			maxElapsed = sh.elapsed
 		}
 		sh.mu.Unlock()
 	}
-	if minVirtual < 0 {
-		minVirtual = 0
-	}
+	// The slab's wire accounting: every frame is one island switch and is
+	// delivered once, and every lost first copy is retransmitted once.
+	totals.Delivered, totals.Switches, totals.Retransmits = totals.Sent, totals.Sent, totals.Lost
 
 	s.AddCounter(telemetry.MetricFwCycles, ticks)
 	totals.Contribute(s)
 
 	s.SetGauge(telemetry.MetricSimDevices, float64(sc.cfg.Devices))
-	s.SetGauge(telemetry.MetricSimWorkers, float64(sc.workers))
+	s.SetGauge(telemetry.MetricSimWorkers, float64(len(sc.shards)))
 	// The slowest stripe's virtual clock: the fleet as a whole has
 	// simulated at least this far.
 	s.SetGauge(telemetry.MetricSimVirtualSeconds, minVirtual.Seconds())
@@ -204,8 +194,8 @@ func (sc *scaleCollector) collect(s *telemetry.Snapshot) {
 // box push a million devices faster than real time.
 //
 // With cfg.Metrics set the run is live-observable: scraping the registry
-// mid-run (see internal/ops) reads each stripe's most recently published
-// telemetry without touching the hot loop.
+// mid-run (see internal/ops) reads each stripe's telemetry as of its last
+// completed sweep.
 func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	if cfg.Devices < 1 {
 		return ScaleResult{}, fmt.Errorf("fleet: need at least 1 device, got %d", cfg.Devices)
@@ -239,32 +229,13 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 	res := ScaleResult{Devices: cfg.Devices, Workers: workers}
 	ticksPerDevice := uint64(cfg.Duration / cfg.SamplePeriod)
 
-	// publishSweeps spaces shard publishes about one second of virtual
-	// time apart: frequent enough for a 1 Hz scrape to see motion, coarse
-	// enough that the copy cost disappears into the stripe walk.
-	publishSweeps := uint64(time.Second / cfg.SamplePeriod)
-	if publishSweeps < 1 {
-		publishSweeps = 1
-	}
-
-	var shards []*scaleShard
+	shards := make([]scaleShard, workers)
 	var reporter *telemetry.Reporter
-	observed := cfg.Metrics != nil
-	if observed {
-		shards = make([]*scaleShard, workers)
+	if cfg.Metrics != nil {
 		for w := range shards {
-			lo := w * stripe
-			hi := lo + stripe
-			if hi > cfg.Devices {
-				hi = cfg.Devices
-			}
-			shards[w] = &scaleShard{
-				lo:  lo,
-				hi:  hi,
-				lat: telemetry.NewLocalHistogram(telemetry.LatencyBucketsMs),
-			}
+			shards[w].lat = telemetry.NewLocalHistogram(telemetry.LatencyBucketsMs)
 		}
-		cfg.Metrics.RegisterCollector((&scaleCollector{cfg: cfg, workers: workers, shards: shards}).collect)
+		cfg.Metrics.RegisterCollector((&scaleCollector{cfg: cfg, shards: shards}).collect)
 		if cfg.OnReport != nil {
 			reporter = telemetry.StartReporter(cfg.Metrics, cfg.ReportEvery, cfg.OnReport)
 		}
@@ -288,54 +259,36 @@ func RunScale(cfg ScaleConfig) (ScaleResult, error) {
 			clock := sim.NewClock(0)
 			sched := sim.NewScheduler(clock)
 			var sink *StripeSink
+			var emit core.FrameEmitter
 			if cfg.Emit != nil {
 				var err error
 				if sink, err = cfg.Emit(w, lo, hi); err != nil {
 					errs[w] = fmt.Errorf("emit sink for stripe %d: %w", w, err)
 					return
 				}
+				emit = sink.Emit
 			}
-			// flush batches the sweep's emitted frames out; the first
-			// sink error is kept, emission after it is the sink's problem
-			// (network senders go dark rather than wedging the tick loop).
+			sh := &shards[w]
+			var tally *core.SweepTally
+			if sh.lat != nil {
+				tally = new(core.SweepTally)
+			}
+			// The first sink error is kept; emission after it is the sink's
+			// problem (network senders go dark rather than wedging the tick
+			// loop).
 			var sinkErr error
-			flush := func() {
+			sched.Every(cfg.SamplePeriod, func(at time.Duration) {
+				slab.Sweep(lo, hi, at, tally, emit)
+				if tally != nil {
+					sh.fold(tally, hi-lo, at, time.Since(start).Seconds())
+				}
 				if sink != nil && sink.Flush != nil {
 					if err := sink.Flush(); err != nil && sinkErr == nil {
 						sinkErr = err
 					}
 				}
-			}
-			if observed {
-				sh := shards[w]
-				sched.Every(cfg.SamplePeriod, func(at time.Duration) {
-					if sink != nil {
-						slab.TickStripeObservedEmit(lo, hi, at, sh.lat, sink.Emit)
-						flush()
-					} else {
-						slab.TickStripeObserved(lo, hi, at, sh.lat)
-					}
-					sh.ticks += uint64(hi - lo)
-					sh.sweeps++
-					if sh.sweeps%publishSweeps == 0 {
-						sh.publish(slab, at, start)
-					}
-				})
-				errs[w] = sched.Run(cfg.Duration)
-				// Final publish so post-run scrapes read the complete
-				// stripe, whatever the cadence remainder was.
-				sh.publish(slab, cfg.Duration, start)
-			} else {
-				sched.Every(cfg.SamplePeriod, func(at time.Duration) {
-					if sink != nil {
-						slab.TickStripeEmit(lo, hi, at, sink.Emit)
-						flush()
-					} else {
-						slab.TickStripe(lo, hi, at)
-					}
-				})
-				errs[w] = sched.Run(cfg.Duration)
-			}
+			})
+			errs[w] = sched.Run(cfg.Duration)
 			if sink != nil && sink.Close != nil {
 				if err := sink.Close(); err != nil && sinkErr == nil {
 					sinkErr = err

@@ -185,20 +185,68 @@ func TestSlabTickObservedZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScaleShardPublishZeroAlloc pins the publish path after warm-up: the
-// periodic copy into the published snapshot must reuse its slices.
-func TestScaleShardPublishZeroAlloc(t *testing.T) {
-	lat := telemetry.NewLocalHistogram(telemetry.LatencyBucketsMs)
-	for i := 0; i < 100; i++ {
-		lat.Observe(float64(i))
+// TestScaleLiveReadFresh pins that a mid-run scrape reads the stripe as of
+// its last sweep, with every sweep folded whole. The sink's Flush runs on
+// the worker after sweep k, so by then the registry must report at least
+// the k−1 sweeps before it, and the counters and latency histogram that one
+// fold updates must agree in every snapshot. No wall clock is involved:
+// the sweep count drives the test.
+func TestScaleLiveReadFresh(t *testing.T) {
+	const devices = 200
+	const period = 40 * time.Millisecond
+	reg := telemetry.New()
+	var k uint64
+	var failure string
+	check := func() {
+		k++
+		s := reg.Snapshot()
+		c := s.Counters
+		h, _ := s.Histogram(telemetry.MetricHubE2ELatency)
+		switch cycles := c[telemetry.MetricFwCycles]; {
+		case cycles < (k-1)*devices || cycles > k*devices:
+			failure = fmt.Sprintf("fw_cycles_total = %d, want within [%d, %d]", cycles, (k-1)*devices, k*devices)
+		case s.Gauges[telemetry.MetricSimVirtualSeconds] < (time.Duration(k-1) * period).Seconds():
+			failure = fmt.Sprintf("sim_virtual_seconds = %g, want >= %g",
+				s.Gauges[telemetry.MetricSimVirtualSeconds], (time.Duration(k-1) * period).Seconds())
+		case c[telemetry.MetricRFSent] != c[telemetry.MetricFwFramesSent]+c[telemetry.MetricARQRetransmits]:
+			failure = fmt.Sprintf("rf_frames_sent_total %d != fw_frames_sent_total %d + arq_retransmits_total %d",
+				c[telemetry.MetricRFSent], c[telemetry.MetricFwFramesSent], c[telemetry.MetricARQRetransmits])
+		case c[telemetry.MetricHubDecoded] != c[telemetry.MetricFwFramesSent]:
+			failure = fmt.Sprintf("hub_frames_decoded_total %d != fw_frames_sent_total %d",
+				c[telemetry.MetricHubDecoded], c[telemetry.MetricFwFramesSent])
+		case h.Count != c[telemetry.MetricFwFramesSent]:
+			failure = fmt.Sprintf("%d latency observations, want one per sent frame (%d)",
+				h.Count, c[telemetry.MetricFwFramesSent])
+		default:
+			return
+		}
+		failure = fmt.Sprintf("sweep %d: %s", k, failure)
 	}
-	var snap telemetry.HistogramSnapshot
-	lat.SnapshotInto(&snap) // warm-up copy sizes the slices
-	allocs := testing.AllocsPerRun(100, func() {
-		lat.Observe(3)
-		lat.SnapshotInto(&snap)
+	_, err := RunScale(ScaleConfig{
+		Devices: devices, Seed: 4, Workers: 1, Duration: 2 * time.Second, SamplePeriod: period,
+		LossProb: 0.1, Metrics: reg,
+		Emit: func(_, _, _ int) (*StripeSink, error) {
+			return &StripeSink{
+				Emit: func(int, uint16, int16, uint32) {},
+				Flush: func() error {
+					if failure == "" {
+						check()
+					}
+					return nil
+				},
+			}, nil
+		},
 	})
-	if allocs != 0 {
-		t.Fatalf("shard publish allocates %.1f allocs/op after warm-up, want 0", allocs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failure != "" {
+		t.Fatal(failure)
+	}
+	if want := uint64(2 * time.Second / period); k != want {
+		t.Fatalf("sink flushed %d times, want once per sweep (%d)", k, want)
+	}
+	if reg.Snapshot().Counters[telemetry.MetricFwFramesSent] == 0 {
+		t.Fatal("run sent no frames: the accounting checks saw nothing")
 	}
 }

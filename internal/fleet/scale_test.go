@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/hcilab/distscroll/internal/core"
+	"github.com/hcilab/distscroll/internal/telemetry"
 )
 
 func TestScaleValidation(t *testing.T) {
@@ -104,18 +105,44 @@ func TestScaleSmoke100k(t *testing.T) {
 }
 
 // TestSlabTickZeroAlloc pins the batched tick path: advancing a stripe
-// must not allocate.
+// must not allocate with any combination of sweep hooks, nor with the
+// per-sweep fold into a stripe's telemetry shard that observed runs add.
 func TestSlabTickZeroAlloc(t *testing.T) {
 	slab, err := core.NewStateSlab(core.SlabConfig{Devices: 256, Seed: 9, LossProb: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var frames int
+	emit := core.FrameEmitter(func(int, uint16, int16, uint32) { frames++ })
+	tally := new(core.SweepTally)
+	sh := &scaleShard{lat: telemetry.NewLocalHistogram(telemetry.LatencyBucketsMs)}
 	at := time.Duration(0)
-	allocs := testing.AllocsPerRun(100, func() {
-		at += 40 * time.Millisecond
-		slab.TickStripe(0, slab.Len(), at)
-	})
-	if allocs != 0 {
-		t.Fatalf("slab tick allocates %.1f allocs/op, want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		tally *core.SweepTally
+		emit  core.FrameEmitter
+		fold  bool
+	}{
+		{"tally=nil,emit=nil", nil, nil, false},
+		{"tally=set,emit=nil", tally, nil, false},
+		{"tally=nil,emit=set", nil, emit, false},
+		{"tally=set,emit=set", tally, emit, false},
+		{"fold", tally, emit, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(100, func() {
+				at += 40 * time.Millisecond
+				slab.Sweep(0, slab.Len(), at, tc.tally, tc.emit)
+				if tc.fold {
+					sh.fold(tc.tally, slab.Len(), at, at.Seconds())
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("slab sweep allocates %.1f allocs/op, want 0", allocs)
+			}
+		})
+	}
+	if frames == 0 || sh.sent == 0 {
+		t.Fatalf("hooks saw no traffic: %d emitted, %d folded", frames, sh.sent)
 	}
 }

@@ -16,8 +16,8 @@
 //	/debug/pprof/  the standard Go profiling endpoints
 //
 // Every scrape takes one registry snapshot: counters are atomics and the
-// scale path's shard collector reads only published copies, so scraping
-// never blocks a tick loop. Overhead is bounded by snapshot cost times
+// scale path's shard collector holds each stripe's lock only as long as a
+// worker's per-sweep fold does, so scraping never waits on a tick loop. Overhead is bounded by snapshot cost times
 // scrape rate, not by fleet size per request beyond the merge itself.
 //
 // The SLO watchdog samples nothing itself: it subscribes to the history

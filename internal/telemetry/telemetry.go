@@ -181,24 +181,6 @@ func (h *LocalHistogram) ObserveN(v float64, n uint64) {
 	h.sum += v * float64(n)
 }
 
-// SnapshotInto copies the histogram state into dst, reusing dst's slices
-// when their shape matches — the publish path of a periodically snapshotted
-// shard stays allocation-free after the first copy. Caller synchronises.
-func (h *LocalHistogram) SnapshotInto(dst *HistogramSnapshot) {
-	if h == nil {
-		*dst = HistogramSnapshot{}
-		return
-	}
-	dst.Bounds = append(dst.Bounds[:0], h.bounds...)
-	dst.Counts = append(dst.Counts[:0], h.counts...)
-	dst.Sum = h.sum
-	dst.Count = 0
-	for _, c := range h.counts {
-		dst.Count += c
-	}
-	dst.P50, dst.P90, dst.P99 = 0, 0, 0
-}
-
 // Snapshot copies the histogram state. Caller synchronises.
 func (h *LocalHistogram) Snapshot() HistogramSnapshot {
 	if h == nil {
